@@ -181,7 +181,10 @@ def solve_bipartite_contraction_blocker(
         matching = mu_bipartite(g, cert).witness
         tree = build_contraction_tree(g, matching, d)
         after = alpha_after_contraction_bipartite(g, tree, cert)
-        assert after <= alpha - d
+        if after > alpha - d:
+            raise CertificateError(
+                f"contraction tree leaves alpha {after}, above the target {alpha - d}"
+            )
         return BlockerOutcome(True, ContractionWitness(tree, after), alpha)
 
     # k <= 2d: enumeration over subsets of at most k edges, smallest first.

@@ -2,9 +2,11 @@
 
 Two independent dynamic programmes over the cotree:
 
-* :func:`min_mono_edges_fixed_h` tracks, per node, the exact colour-class
-  size vector of an h-colouring (colours are labelled, classes aligned by
-  label across children);
+* :func:`min_mono_edges_fixed_h` tracks, per node, the colour-class size
+  vector of an h-colouring sorted in descending order (relabelling colours
+  changes no count).  Inner nodes enumerate every distinct alignment of the
+  two children's classes; size-rank alignment (Property 1) is not used, so
+  this DP checks the other one independently;
 * :func:`min_mono_edges_deficiency` answers the "chi minus d colours"
   question directly.  Its state is an ascending tuple of upper bounds on the
   smallest colour classes plus a colour-deficiency budget.  At union nodes
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .cotree import Cotree, CotreeLeaf, proper_colouring
-from .errors import CapacityExceededError
+from .errors import CapacityExceededError, CertificateError
 from .graph import Edge, Graph, bits
 from .oracle import configured_budget
 
@@ -126,9 +129,16 @@ def lambda_merge(mu, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
     """Minimum monochromatic edges over all h-colourings of the cograph.
 
-    Joins sparse per-node tables keyed by the vector of colour-class sizes;
-    at a join node classes with equal labels meet across every edge, adding
-    the dot product of the two size vectors.
+    Each node's table maps the colour-class size vector, sorted in descending
+    order, to the least monochromatic count of a colouring of its subtree
+    with those class sizes; relabelling colours never changes a count, so
+    the sorted key loses nothing.  An inner node pairs every left key with
+    every distinct arrangement of every right key (classes in the same
+    position share a colour) and sorts the summed vector again.  At a join
+    node classes sharing a colour meet across every edge, adding the dot
+    product of the two aligned vectors.  Size-rank alignment (Property 1) is
+    deliberately not assumed, so this DP stays an independent check of
+    :func:`min_mono_edges_deficiency`.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
@@ -147,47 +157,65 @@ def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
             budget=budget,
         )
 
-    tables: list[dict[tuple[int, ...], tuple[int, Optional[tuple]]]] = [
-        {} for _ in t.postorder
-    ]
+    # tables[i][key] = (cost, left key, right key, arrangement) where the
+    # right key's class arrange[j] shares a colour with the left key's class j.
+    tables: list[dict[tuple[int, ...], tuple]] = [{} for _ in t.postorder]
+    arrangements: dict[tuple[int, ...], list] = {}
     for node in t.postorder:
+        table = tables[node.index]
         if isinstance(node, CotreeLeaf):
-            table = tables[node.index]
-            for i in range(h):
-                key = tuple(1 if j == i else 0 for j in range(h))
-                table[key] = (0, None)
-        else:
-            join = node.label == 1
-            table = tables[node.index]
-            left = tables[node.left.index]
-            right = tables[node.right.index]
-            for aq, (vq, _) in sorted(left.items()):
-                for ar, (vr, _) in sorted(right.items()):
-                    cost = vq + vr
-                    if join:
-                        cost += sum(x * y for x, y in zip(aq, ar))
-                    key = tuple(x + y for x, y in zip(aq, ar))
+            table[(1,) + (0,) * (h - 1)] = (0, None, None, None)
+            continue
+        join = node.label == 1
+        right = []
+        for ar, (vr, *_) in sorted(tables[node.right.index].items()):
+            if ar not in arrangements:
+                arrangements[ar] = _arrangements(ar)
+            right.append((ar, vr, arrangements[ar]))
+        for aq, (vq, *_) in sorted(tables[node.left.index].items()):
+            for ar, vr, options in right:
+                base = vq + vr
+                for arranged, arrange in options:
+                    cost = base + sum(map(mul, aq, arranged)) if join else base
+                    key = tuple(sorted(map(add, aq, arranged), reverse=True))
                     cur = table.get(key)
                     if cur is None or cost < cur[0]:
-                        table[key] = (cost, (aq, ar))
+                        table[key] = (cost, aq, ar, arrange)
 
     root_table = tables[t.root.index]
     best_key = min(root_table, key=lambda k: (root_table[k][0], k))
     best = root_table[best_key][0]
 
+    # Walk down with each node's slot -> colour map; an explicit stack keeps
+    # deep cotrees clear of the recursion limit.
     colouring = [0] * t.n
-
-    def paint(node, key) -> None:
+    stack = [(t.root, best_key, tuple(range(1, h + 1)))]
+    while stack:
+        node, key, colours = stack.pop()
         if isinstance(node, CotreeLeaf):
-            colouring[node.vertex] = key.index(1) + 1
-            return
-        _, choice = tables[node.index][key]
-        aq, ar = choice
-        paint(node.left, aq)
-        paint(node.right, ar)
-
-    paint(t.root, best_key)
+            colouring[node.vertex] = colours[0]
+            continue
+        _, aq, ar, arrange = tables[node.index][key]
+        merged = [aq[j] + ar[arrange[j]] for j in range(h)]
+        # Any descending order of ``merged`` lines its positions up with ``key``.
+        order = sorted(range(h), key=lambda j: -merged[j])
+        left_colours = [0] * h
+        for slot, j in enumerate(order):
+            left_colours[j] = colours[slot]
+        right_colours = [0] * h
+        for j, i in enumerate(arrange):
+            right_colours[i] = left_colours[j]
+        stack.append((node.left, aq, tuple(left_colours)))
+        stack.append((node.right, ar, tuple(right_colours)))
     return best, tuple(colouring)
+
+
+def _arrangements(key: tuple[int, ...]):
+    """Distinct ``(arranged, arrange)`` pairs with ``arranged[j] == key[arrange[j]]``."""
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for arrange in permutations(range(len(key))):
+        seen.setdefault(tuple(key[i] for i in arrange), arrange)
+    return list(seen.items())
 
 
 # -- fixed colour deficiency ---------------------------------------------------
@@ -204,7 +232,10 @@ def min_mono_edges_deficiency(t: Cotree, d: int) -> tuple[int, Colouring]:
         raise ValueError(f"d must be below the chromatic number {chi}")
     dp = _DeficiencyDP(t, d)
     value = dp.value(t.root, (), d)
-    assert value is not INF
+    if value is INF:
+        raise CertificateError(
+            f"deficiency DP found no colouring with {chi - d} colours"
+        )
     classes = dp.classes(t.root, (), d)
     colouring = [0] * t.n
     for idx, group in enumerate(classes, start=1):
@@ -400,7 +431,10 @@ class _DeficiencyDP:
             cq = self.classes(q, bq, dq)
             cr = self.classes(r, br, dr)
             offset = len(cq) - len(cr)
-            assert offset >= 0
+            if offset < 0:
+                raise CertificateError(
+                    f"union node: {len(cq)} left classes against {len(cr)} right"
+                )
             return [
                 tuple(sorted(cq[i] + (cr[i - offset] if i >= offset else ())))
                 for i in range(len(cq))

@@ -3,7 +3,14 @@ import json
 import pytest
 
 from blockerlab.cli import main
-from blockerlab.graph import complete_graph, cycle_graph, path_graph
+from blockerlab.graph import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    graph_join,
+    path_graph,
+)
 from blockerlab.graphio import format_graph
 
 
@@ -118,6 +125,20 @@ def test_verify_mono_report(capsys, tmp_path, k4_file):
     report_file = tmp_path / "mono.json"
     report_file.write_text(out)
     code, out = _run(capsys, "verify", str(report_file), k4_file)
+    assert code == 0 and json.loads(out)["valid"]
+
+
+def test_verify_mono_report_above_chi_exact_ceiling(capsys, tmp_path):
+    # 22 vertices: chi must be certified without chi_exact (n <= 20).
+    halves = graph_join(complete_bipartite_graph(3, 3), complete_bipartite_graph(4, 4))
+    g = graph_join(halves, Graph(8, [(0, 1), (2, 3)]))
+    graph_file = tmp_path / "cograph22.graph"
+    graph_file.write_text(format_graph(g))
+    code, out = _run(capsys, "mono", "--mode", "deficiency", "-d", "1", str(graph_file))
+    assert code == 0 and json.loads(out)["chi"] == 6
+    report_file = tmp_path / "mono.json"
+    report_file.write_text(out)
+    code, out = _run(capsys, "verify", str(report_file), str(graph_file))
     assert code == 0 and json.loads(out)["valid"]
 
 

@@ -146,6 +146,50 @@ def test_fixed_h_examples():
         assert all(col[u] != col[v] for u, v in g.edges())
 
 
+def _random_cotree(rng, n, join_p):
+    from blockerlab.cotree import Cotree, CotreeInner, CotreeLeaf
+
+    roots = [CotreeLeaf(v) for v in range(n)]
+    while len(roots) > 1:
+        i, j = sorted(rng.sample(range(len(roots)), 2))
+        right, left = roots.pop(j), roots.pop(i)
+        roots.append(CotreeInner(1 if rng.random() < join_p else 0, left, right))
+    return Cotree(roots[0])
+
+
+def test_fixed_h_four_colours_against_brute():
+    # At h = 4 a class-size vector has up to 24 arrangements; chi >= 5 keeps
+    # the DP from returning the proper colouring outright.
+    from blockerlab.cotree import realize_cotree
+
+    rng = random.Random(404)
+    checked = 0
+    while checked < 6:
+        t = _random_cotree(rng, rng.choice((8, 9)), 0.6)
+        if t.chi < 5:
+            continue
+        g = realize_cotree(t)
+        count, col = min_mono_edges_fixed_h(t, 4)
+        assert count == brute_min_mono(g, 4)[0]
+        assert count_monochromatic_edges(g, col) == count
+        assert set(col) <= {1, 2, 3, 4}
+        checked += 1
+
+
+def test_fixed_h_deep_cotree_does_not_recurse():
+    # A 1100-vertex threshold chain, built directly: its cotree is as deep
+    # as it is wide, far past the interpreter's recursion limit.
+    from blockerlab.cotree import Cotree, CotreeInner, CotreeLeaf, realize_cotree
+
+    node = CotreeLeaf(0)
+    for v in range(1, 1100):
+        node = CotreeInner(v % 2, node, CotreeLeaf(v))
+    t = Cotree(node)
+    count, col = min_mono_edges_fixed_h(t, 2)
+    assert count_monochromatic_edges(realize_cotree(t), col) == count
+    assert set(col) <= {1, 2}
+
+
 def test_deficiency_examples():
     t = build_cotree(complete_graph(4))
     count, col = min_mono_edges_deficiency(t, 1)
