@@ -48,6 +48,58 @@ def test_param_all_kinds(capsys, k4_file):
         assert code == 0 and json.loads(out)["value"] == value
 
 
+PARAM_GRAPHS = {
+    "p4": path_graph(4),  # bipartite, chordal, not a cograph
+    "c4": cycle_graph(4),  # bipartite, cograph, not chordal
+    "k4": complete_graph(4),  # chordal, cograph, not bipartite
+    "c5": cycle_graph(5),  # none of the three
+}
+PARAM_CLASSES = ("auto", "bipartite", "chordal", "cograph")
+# (graph, kind) -> one outcome per --class in PARAM_CLASSES order: the
+# reported "graph_class:value", or "exit 2" when the class is refused.
+PARAM_TABLE = {
+    ("p4", "alpha"): ("bipartite:2", "bipartite:2", "chordal:2", "exit 2"),
+    ("p4", "omega"): ("general:2", "general:2", "general:2", "exit 2"),
+    ("p4", "chi"): ("general:2", "general:2", "general:2", "exit 2"),
+    ("p4", "mu"): ("bipartite:2", "bipartite:2", "bipartite:2", "exit 2"),
+    ("p4", "tau"): ("bipartite:2", "bipartite:2", "chordal:2", "exit 2"),
+    ("c4", "alpha"): ("bipartite:2", "bipartite:2", "exit 2", "general:2"),
+    ("c4", "omega"): ("general:2", "general:2", "exit 2", "general:2"),
+    ("c4", "chi"): ("cograph:2", "general:2", "exit 2", "cograph:2"),
+    ("c4", "mu"): ("bipartite:2", "bipartite:2", "exit 2", "bipartite:2"),
+    ("c4", "tau"): ("bipartite:2", "bipartite:2", "exit 2", "general:2"),
+    ("k4", "alpha"): ("chordal:1", "exit 2", "chordal:1", "general:1"),
+    ("k4", "omega"): ("general:4", "exit 2", "general:4", "general:4"),
+    ("k4", "chi"): ("cograph:4", "exit 2", "general:4", "cograph:4"),
+    ("k4", "mu"): ("exit 2", "exit 2", "exit 2", "exit 2"),
+    ("k4", "tau"): ("chordal:3", "exit 2", "chordal:3", "general:3"),
+    ("c5", "alpha"): ("general:2", "exit 2", "exit 2", "exit 2"),
+    ("c5", "omega"): ("general:2", "exit 2", "exit 2", "exit 2"),
+    ("c5", "chi"): ("general:3", "exit 2", "exit 2", "exit 2"),
+    ("c5", "mu"): ("exit 2", "exit 2", "exit 2", "exit 2"),
+    ("c5", "tau"): ("general:3", "exit 2", "exit 2", "exit 2"),
+}
+
+
+@pytest.mark.parametrize("klass", PARAM_CLASSES)
+@pytest.mark.parametrize("graph_name, kind", sorted(PARAM_TABLE))
+def test_param_routes_by_kind_and_class(capsys, tmp_path, graph_name, kind, klass):
+    graph_file = tmp_path / f"{graph_name}.graph"
+    graph_file.write_text(format_graph(PARAM_GRAPHS[graph_name]))
+    expected = PARAM_TABLE[graph_name, kind][PARAM_CLASSES.index(klass)]
+    code, out = _run(capsys, "param", "--kind", kind, "--class", klass, str(graph_file))
+    if expected == "exit 2":
+        assert code == 2
+        return
+    report = json.loads(out)
+    assert code == 0
+    assert f"{report['graph_class']}:{report['value']}" == expected
+    report_file = tmp_path / "report.json"
+    report_file.write_text(out)
+    code, out = _run(capsys, "verify", str(report_file), str(graph_file))
+    assert code == 0 and json.loads(out)["valid"]
+
+
 def test_param_class_mismatch(capsys, k4_file):
     code = main(["param", "--kind", "mu", k4_file])
     assert code == 2
