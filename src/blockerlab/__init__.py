@@ -19,7 +19,7 @@ from .graph import (  # noqa: F401
     is_forest,
     restriction,
 )
-from .cotree import Cotree, build_cotree, cotree_sexpr, node_stats, realize_cotree  # noqa: F401
+from .cotree import Cotree, build_cotree, cotree_sexpr, realize_cotree  # noqa: F401
 from .parameters import (  # noqa: F401
     ParameterValue,
     alpha_bipartite,
@@ -55,7 +55,6 @@ from .monochromatic import (  # noqa: F401
     lambda_val,
     min_mono_edges_deficiency,
     min_mono_edges_fixed_h,
-    mono_to_edge_deletion_witness,
     recolour_module,
 )
 from .reductions import (  # noqa: F401

@@ -4,12 +4,10 @@ connected bipartite graphs, for a small fixed drop ``d``.
 The solver dispatches on instance shape:
 
 1. tiny graphs (``n <= 2d+1``) go to the exhaustive oracle;
-2. ``alpha <= d`` is an immediate no (contracting a non-empty graph leaves at
-   least one vertex, so alpha cannot reach zero);
-3. with ``k >= 2d+1`` the answer is always yes: a tree with ``2d`` or
+2. with ``k >= 2d+1`` the answer is always yes: a tree with ``2d`` or
    ``2d+1`` edges grown around a maximum matching contracts to a single
    vertex whose removal leaves a graph with alpha at most ``alpha - d - 1``;
-4. otherwise ``k <= 2d`` and plain subset enumeration is constant-degree
+3. otherwise ``k <= 2d`` and plain subset enumeration is constant-degree
    polynomial; alpha of each contracted graph is computed by splitting an
    independent set into contracted and untouched vertices, the untouched part
    being bipartite.
@@ -22,7 +20,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import CertificateError
-from .graph import Edge, Graph, bits, contract_edges, validate_edge_set
+from .graph import Edge, Graph, bits, contract_edges, induced_subgraph, validate_edge_set
 from .oracle import BlockerQuery, brute_blocker
 from .parameters import alpha_bipartite, mu_bipartite
 from .recognizers import Bipartition, NotInClass, recognize_bipartite
@@ -128,7 +126,7 @@ def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
             rest = [
                 original[x] for x in range(contracted.n) if not removed >> x & 1
             ]
-            sub, remap = _induced_with_map(g, rest)
+            sub, remap = induced_subgraph(g, rest)
             sub_cert = Bipartition(
                 frozenset(remap[v] for v in rest if side[v] == 0),
                 frozenset(remap[v] for v in rest if side[v] == 1),
@@ -137,21 +135,7 @@ def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
     return best
 
 
-def _induced_with_map(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, int]]:
-    remap = {old: new for new, old in enumerate(sorted(vertices))}
-    vset = set(vertices)
-    edges = [
-        (remap[u], remap[v])
-        for u in vertices
-        for v in bits(g.adj[u] >> (u + 1) << (u + 1))
-        if v in vset
-    ]
-    return Graph(len(vertices), edges), remap
-
-
-def solve_bipartite_contraction_blocker(
-    g: Graph, k: int, d: int, threads: int = 1
-) -> BlockerOutcome:
+def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutcome:
     """Decide whether ``<= k`` contractions drop alpha by at least ``d``."""
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -174,9 +158,6 @@ def solve_bipartite_contraction_blocker(
             witness = ContractionWitness(answer.witness, answer.value_after)
         return BlockerOutcome(answer.answer, witness, alpha)
 
-    if alpha <= d:
-        return BlockerOutcome(False, None, alpha)
-
     if k >= 2 * d + 1:
         matching = mu_bipartite(g, cert).witness
         tree = build_contraction_tree(g, matching, d)
@@ -188,39 +169,14 @@ def solve_bipartite_contraction_blocker(
         return BlockerOutcome(True, ContractionWitness(tree, after), alpha)
 
     # k <= 2d: enumeration over subsets of at most k edges, smallest first.
-    # Under threads > 1 the reported witness may be any success in the
-    # winning chunk; the yes/no answer is unaffected.
     edges = g.edges()
     target = alpha - d
     for size in range(1, min(k, len(edges)) + 1):
-        hit = _scan_size(g, cert, edges, size, target, threads)
-        if hit is not None:
-            subset, after = hit
-            return BlockerOutcome(
-                True, ContractionWitness(frozenset(subset), after), alpha
-            )
-    return BlockerOutcome(False, None, alpha)
-
-
-def _scan_size(g, cert, edges, size, target, threads):
-    combos = combinations(edges, size)
-    if threads <= 1:
-        for subset in combos:
+        for subset in combinations(edges, size):
             after = alpha_after_contraction_bipartite(g, subset, cert)
             if after <= target:
-                return subset, after
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-    from itertools import islice
+                return BlockerOutcome(
+                    True, ContractionWitness(frozenset(subset), after), alpha
+                )
+    return BlockerOutcome(False, None, alpha)
 
-    def evaluate(subset):
-        return subset, alpha_after_contraction_bipartite(g, subset, cert)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(islice(combos, 1024 * threads))
-            if not chunk:
-                return None
-            for subset, after in pool.map(evaluate, chunk):
-                if after <= target:
-                    return subset, after

@@ -1,8 +1,9 @@
 """Command-line interface: one binary, eight subcommands, JSON reports.
 
 Decision subcommands (``blocker``, ``oracle``, ``verify``) exit 0 for yes /
-valid and 1 for no / invalid; every subcommand exits 2 on bad input and 3
-when an exhaustive routine refuses for capacity reasons.  Reports follow
+valid and 1 for no / invalid; every subcommand exits 2 on bad input, 3
+when an exhaustive routine refuses for capacity reasons and 4 on an internal
+error, so a crash never reads as a "no".  Reports follow
 ``docs/report_schema.json`` and re-validate with the ``verify`` subcommand.
 """
 
@@ -12,12 +13,13 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import __version__
 from .bipartite_blocker import solve_bipartite_contraction_blocker
 from .catalogue import CATALOGUE_CLASSES, graph_catalogue
-from .cotree import cotree_sexpr, node_stats, proper_colouring
+from .cotree import cotree_sexpr, proper_colouring
 from .errors import BlockerlabError, CapacityExceededError, GraphFormatError
 from .graphio import format_graph, parse_graph, parse_mss_instance, parse_sat_instance
 from .monochromatic import (
@@ -36,15 +38,7 @@ from .parameters import (
     omega_exact,
     tau_from_alpha,
 )
-from .recognizers import (
-    Bipartition,
-    CotreeCertificate,
-    EliminationOrder,
-    NotInClass,
-    recognize_bipartite,
-    recognize_chordal,
-    recognize_cograph,
-)
+from .recognizers import NotInClass, recognize_bipartite, recognize_chordal, recognize_cograph
 from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
 from .report import (
     base_report,
@@ -59,6 +53,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> bytes:
@@ -75,62 +70,59 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _tau(alpha_solver):
+    return lambda g, *cert: tau_from_alpha(g, alpha_solver(g, *cert))
+
+
+def _chi_cograph(g, cert):
+    return ParameterValue("chi", cert.cotree.chi, proper_colouring(cert.cotree))
+
+
 def _cmd_param(args) -> int:
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
     kind = args.kind
-    clazz = args.klass
+    # The dispatch table.  It is built per call so that every name resolves
+    # when it runs: perfbench's tracer rebinds module attributes.
+    recognisers = {
+        "bipartite": recognize_bipartite,
+        "chordal": recognize_chordal,
+        "cograph": recognize_cograph,
+    }
+    # kind -> (routes, fallback).  A route is (class, solver(g, certificate)),
+    # tried in order; the fallback solver(g) answers when no route applies.
+    # mu is defined on bipartite graphs only, so it has no fallback and takes
+    # its route whatever --class names.
+    routes, fallback = {
+        "alpha": ((("bipartite", alpha_bipartite), ("chordal", alpha_chordal)), alpha_exact),
+        "tau": (
+            (("bipartite", _tau(alpha_bipartite)), ("chordal", _tau(alpha_chordal))),
+            _tau(alpha_exact),
+        ),
+        "chi": ((("cograph", _chi_cograph),), chi_exact),
+        "mu": ((("bipartite", mu_bipartite),), None),
+        "omega": ((), omega_exact),
+    }[kind]
+    certs: dict = {}
 
-    bip = recognize_bipartite(g)
-    chordal = recognize_chordal(g) if clazz in ("auto", "chordal") else None
-    cograph = recognize_cograph(g) if clazz in ("auto", "cograph") else None
+    def cert_of(klass):
+        # Recognise lazily, at most once per class.
+        if klass not in certs:
+            cert = recognisers[klass](g)
+            certs[klass] = None if isinstance(cert, NotInClass) else cert
+        return certs[klass]
 
-    def need(cert, name):
-        if isinstance(cert, NotInClass) or cert is None:
-            raise GraphFormatError(f"graph is not {name}: required by --class")
-        return cert
-
-    # An explicitly requested class must hold even when the computation does
-    # not use its certificate.
-    if clazz == "bipartite":
-        need(bip if isinstance(bip, Bipartition) else None, "bipartite")
-    elif clazz == "chordal":
-        need(chordal if isinstance(chordal, EliminationOrder) else None, "chordal")
-    elif clazz == "cograph":
-        need(cograph if isinstance(cograph, CotreeCertificate) else None, "a cograph")
-
-    used = "general"
-    if kind == "mu":
-        cert = need(bip if isinstance(bip, Bipartition) else None, "bipartite")
-        pv = mu_bipartite(g, cert)
-        used = "bipartite"
-    elif kind in ("alpha", "tau"):
-        if clazz == "bipartite" or (clazz == "auto" and isinstance(bip, Bipartition)):
-            pv = alpha_bipartite(g, need(bip if isinstance(bip, Bipartition) else None, "bipartite"))
-            used = "bipartite"
-        elif clazz == "chordal" or (
-            clazz == "auto" and isinstance(chordal, EliminationOrder)
-        ):
-            pv = alpha_chordal(g, need(chordal, "chordal"))
-            used = "chordal"
-        else:
-            pv = alpha_exact(g)
-        if kind == "tau":
-            pv = tau_from_alpha(g, pv)
-    elif kind == "chi":
-        if clazz == "cograph" or (clazz == "auto" and isinstance(cograph, CotreeCertificate)):
-            cert = need(cograph if isinstance(cograph, CotreeCertificate) else None, "a cograph")
-            stats = node_stats(cert.cotree)
-            pv = ParameterValue(
-                "chi",
-                stats.chi[cert.cotree.root.index],
-                proper_colouring(cert.cotree),
-            )
-            used = "cograph"
-        else:
-            pv = chi_exact(g)
-    else:  # omega
-        pv = omega_exact(g)
+    # An explicitly requested class must hold even when no route uses it.
+    if args.klass != "auto" and cert_of(args.klass) is None:
+        raise GraphFormatError(f"graph is not {args.klass}: required by --class")
+    for klass, solve in routes:
+        if (fallback is None or args.klass in ("auto", klass)) and cert_of(klass) is not None:
+            pv, used = solve(g, certs[klass]), klass
+            break
+    else:
+        if fallback is None:
+            raise GraphFormatError(f"graph is not {routes[0][0]}: required by --kind {kind}")
+        pv, used = fallback(g), "general"
 
     report = base_report("param", digest, time.perf_counter() - start)
     if kind in ("alpha", "omega", "tau"):
@@ -156,13 +148,9 @@ def _cmd_cotree(args) -> int:
 
 
 def _cmd_blocker(args) -> int:
-    if args.op != "contract" or args.param != "alpha" or args.klass != "bipartite":
-        raise GraphFormatError(
-            "this solver handles --op contract --param alpha --class bipartite"
-        )
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
-    outcome = solve_bipartite_contraction_blocker(g, args.k, args.d, threads=args.threads)
+    outcome = solve_bipartite_contraction_blocker(g, args.k, args.d)
     report = base_report("blocker", digest, time.perf_counter() - start)
     report.update(
         {
@@ -224,7 +212,7 @@ def _cmd_oracle(args) -> int:
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
     query = BlockerQuery(g, args.op, args.param, args.k, args.d)
-    answer = brute_blocker(query, threads=args.threads)
+    answer = brute_blocker(query)
     report = base_report("oracle", digest, time.perf_counter() - start)
     witness = None
     if answer.answer:
@@ -340,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", default="bipartite", choices=["bipartite"])
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("graphfile")
     p.set_defaults(fn=_cmd_blocker)
 
@@ -361,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=["alpha", "omega", "chi"])
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("graphfile")
     p.set_defaults(fn=_cmd_oracle)
 
@@ -375,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalogue", help="enumerate small connected graphs of a class")
     p.add_argument("--class", dest="klass", required=True, choices=list(CATALOGUE_CLASSES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomised generators")
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=_cmd_catalogue)
 
@@ -398,6 +383,10 @@ def main(argv=None) -> int:
     except (BlockerlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import NotACographError
-from .graph import Graph, bits, contains_induced, path_graph
+from .errors import CertificateError, NotACographError
+from .graph import Graph, bits, contains_induced, induced_subgraph, path_graph
 
 
 class CotreeLeaf:
@@ -105,11 +105,6 @@ class Cotree:
         return self._stats
 
 
-def node_stats(t: Cotree) -> NodeStats:
-    """Sizes and chromatic numbers for every node, bottom-up."""
-    return t.stats()
-
-
 def _chain(nodes: list[CotreeNode], label: int) -> CotreeNode:
     # Left-nested binarisation; the DPs are associativity-invariant.
     out = nodes[0]
@@ -130,7 +125,7 @@ def build_cotree(g: Graph) -> Cotree:
     def rec(vertices: list[int]) -> CotreeNode:
         if len(vertices) == 1:
             return CotreeLeaf(vertices[0])
-        sub, remap = _induced(g, vertices)
+        sub, _ = induced_subgraph(g, vertices)
         comps = sub.connected_components()
         if len(comps) > 1:
             parts = [[vertices[i] for i in comp] for comp in comps]
@@ -142,21 +137,11 @@ def build_cotree(g: Graph) -> Cotree:
             parts.sort(key=min)
             return _chain([rec(p) for p in parts], 1)
         hit = contains_induced(sub, path_graph(4))
-        assert hit is not None, "connected, co-connected, n>1 implies an induced P4"
+        if hit is None:
+            raise CertificateError("connected, co-connected, n>1 implies an induced P4")
         raise NotACographError(tuple(vertices[i] for i in hit))
 
     return Cotree(rec(list(range(g.n))))
-
-
-def _induced(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, int]]:
-    remap = {old: new for new, old in enumerate(vertices)}
-    edges = []
-    vset = set(vertices)
-    for u in vertices:
-        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
-            if v in vset:
-                edges.append((remap[u], remap[v]))
-    return Graph(len(vertices), edges), remap
 
 
 def realize_cotree(t: Cotree) -> Graph:
@@ -192,21 +177,23 @@ def parse_cotree_sexpr(text: str) -> Cotree:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> CotreeNode:
+    def take() -> str:
         nonlocal pos
-        if tokens[pos] == "(":
-            pos += 1
-            label = int(tokens[pos])
-            pos += 1
+        if pos == len(tokens):
+            raise ValueError("malformed cotree expression")
+        pos += 1
+        return tokens[pos - 1]
+
+    def parse() -> CotreeNode:
+        token = take()
+        if token == "(":
+            label = int(take())
             left = parse()
             right = parse()
-            if tokens[pos] != ")":
+            if take() != ")":
                 raise ValueError("malformed cotree expression")
-            pos += 1
             return CotreeInner(label, left, right)
-        node = CotreeLeaf(int(tokens[pos]))
-        pos += 1
-        return node
+        return CotreeLeaf(int(token))
 
     root = parse()
     if pos != len(tokens):
@@ -216,7 +203,6 @@ def parse_cotree_sexpr(text: str) -> Cotree:
 
 def proper_colouring(t: Cotree) -> tuple[int, ...]:
     """A proper colouring of the realised cograph using exactly chi colours."""
-    stats = t.stats()
     classes: list[list[tuple[int, ...]]] = [[] for _ in t.postorder]
     for node in t.postorder:
         if isinstance(node, CotreeLeaf):
@@ -235,7 +221,8 @@ def proper_colouring(t: Cotree) -> tuple[int, ...]:
                 classes[node.index] = merged
     colouring = [0] * t.n
     root_classes = classes[t.root.index]
-    assert len(root_classes) == stats.chi[t.root.index]
+    if len(root_classes) != t.chi:
+        raise CertificateError(f"colouring uses {len(root_classes)} colours, chi is {t.chi}")
     for colour, group in enumerate(root_classes, start=1):
         for v in group:
             colouring[v] = colour

@@ -191,15 +191,7 @@ def contract_edges(
 def delete_vertices(g: Graph, u: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on ``V - u`` plus the old->new reindexing map."""
     u = validate_vertex_set(g, u)
-    keep = [v for v in range(g.n) if v not in u]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (remap[a], remap[b])
-        for a in keep
-        for b in bits(g.adj[a] >> (a + 1) << (a + 1))
-        if b in remap
-    ]
-    return Graph(len(keep), edges), remap
+    return induced_subgraph(g, [v for v in range(g.n) if v not in u])
 
 
 def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
@@ -209,8 +201,22 @@ def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    vs = validate_vertex_set(g, vertices)
-    return delete_vertices(g, [v for v in range(g.n) if v not in vs])
+    """Subgraph induced by ``vertices`` plus the old->new map.
+
+    New indices follow the sorted order of the kept vertices.
+    """
+    keep = sorted(set(vertices))
+    if keep and (keep[0] < 0 or keep[-1] >= g.n):
+        bad = keep[0] if keep[0] < 0 else keep[-1]
+        raise InvalidVertexError(f"vertex {bad} out of range for n={g.n}")
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = [
+        (remap[a], remap[b])
+        for a in keep
+        for b in bits(g.adj[a] >> (a + 1) << (a + 1))
+        if b in remap
+    ]
+    return Graph(len(keep), edges), remap
 
 
 def is_forest(g: Graph) -> bool:

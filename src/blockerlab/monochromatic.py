@@ -18,7 +18,7 @@ Both reconstruct an optimal colouring from stored argmin choices, and they
 are cross-checked against each other and against the brute-force oracle in
 the test suite.  A colouring with at most ``m`` monochromatic edges is the
 same thing as deleting at most ``m`` edges to push the chromatic number down
-to the colour budget; :func:`mono_to_edge_deletion_witness` converts.
+to the colour budget; :func:`monochromatic_edge_set` converts.
 """
 
 from __future__ import annotations
@@ -48,14 +48,10 @@ def count_monochromatic_edges(g: Graph, c: Sequence[int]) -> int:
 
 
 def monochromatic_edge_set(g: Graph, c: Sequence[int]) -> frozenset[Edge]:
+    """The monochromatic edges of ``c``: deleting them makes ``c`` proper."""
     if len(c) != g.n:
         raise ValueError(f"colouring covers {len(c)} of {g.n} vertices")
     return frozenset((u, v) for u, v in g.edges() if c[u] == c[v])
-
-
-def mono_to_edge_deletion_witness(g: Graph, c: Sequence[int]) -> frozenset[Edge]:
-    """The monochromatic edges of ``c``: deleting them makes ``c`` proper."""
-    return monochromatic_edge_set(g, c)
 
 
 def recolour_module(g: Graph, c: Sequence[int], module) -> Colouring:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -88,7 +87,9 @@ def apply_operation(g: Graph, operation: str, chosen: Iterable) -> Graph:
         return contract_edges(g, chosen)[0]
     if operation == "delete-vertices":
         return delete_vertices(g, chosen)[0]
-    return delete_edges(g, chosen)
+    if operation == "delete-edges":
+        return delete_edges(g, chosen)
+    raise ValueError(f"unknown operation {operation!r}")
 
 
 def _ground_set(g: Graph, operation: str) -> list:
@@ -99,9 +100,7 @@ def _subset_count(m: int, k: int) -> int:
     return sum(math.comb(m, i) for i in range(min(k, m) + 1))
 
 
-def brute_blocker(
-    q: BlockerQuery, budget: Optional[int] = None, threads: int = 1
-) -> OracleAnswer:
+def brute_blocker(q: BlockerQuery, budget: Optional[int] = None) -> OracleAnswer:
     """Exhaustive blocker decision with a minimum-size witness.
 
     Subsets are enumerated by increasing size and lexicographically within a
@@ -124,7 +123,7 @@ def brute_blocker(
         return parameter_value(apply_operation(q.graph, q.operation, subset), q.parameter) <= target
 
     for size in range(0, min(q.k, len(ground)) + 1):
-        found = _first_hit(ground, size, hit, threads)
+        found = _first_hit(ground, size, hit)
         if found is not None:
             witness = frozenset(found)
             after = parameter_value(
@@ -134,30 +133,14 @@ def brute_blocker(
     return OracleAnswer(False, None, False, before, None)
 
 
-def _first_hit(ground: Sequence, size: int, hit, threads: int):
-    combos = itertools.combinations(ground, size)
-    if threads <= 1:
-        for subset in combos:
-            if hit(subset):
-                return subset
-        return None
-    # Parallel mode: scan fixed-size chunks, keep the earliest hit of the
-    # first chunk that contains one, so the result matches the serial scan.
-    chunk_size = 1024
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(itertools.islice(combos, chunk_size * threads))
-            if not chunk:
-                return None
-            results = list(pool.map(hit, chunk))
-            for subset, ok in zip(chunk, results):
-                if ok:
-                    return subset
+def _first_hit(ground: Sequence, size: int, hit):
+    for subset in itertools.combinations(ground, size):
+        if hit(subset):
+            return subset
+    return None
 
 
-def brute_blocker_decision(
-    q: BlockerQuery, budget: Optional[int] = None, threads: int = 1
-) -> OracleAnswer:
+def brute_blocker_decision(q: BlockerQuery, budget: Optional[int] = None) -> OracleAnswer:
     """Decision-only variant for monotone (operation, parameter) pairs.
 
     When growing the set can only shrink the parameter, a witness of size
@@ -185,7 +168,7 @@ def brute_blocker_decision(
     def hit(subset: tuple) -> bool:
         return parameter_value(apply_operation(q.graph, q.operation, subset), q.parameter) <= target
 
-    found = _first_hit(ground, size, hit, threads)
+    found = _first_hit(ground, size, hit)
     if found is None:
         return OracleAnswer(False, None, False, before, None)
     witness = frozenset(found)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CriticalityError, GadgetPreconditionError
+from .errors import CertificateError, CriticalityError, GadgetPreconditionError
 from .graph import (
     Edge,
     Graph,
@@ -150,8 +150,10 @@ def build_vc_gadget(g: Graph, k: int) -> tuple[Graph, VcGadgetMap]:
     edges = g.edges() + [(v, w) for v in range(g.n)]
     gadget = Graph(g.n + 1, edges)
     c3p1 = disjoint_union(complete_graph(3), Graph(1))
-    assert contains_induced(gadget, c3p1) is None
-    assert _has_triangle(gadget) is not None  # omega == 3: triangle, no K4
+    if contains_induced(gadget, c3p1) is not None:
+        raise CertificateError("vc gadget has a triangle plus an isolated vertex")
+    if _has_triangle(gadget) is None:  # omega == 3: triangle, no K4
+        raise CertificateError("vc gadget has no triangle")
     return gadget, VcGadgetMap(universal_vertex=w, base_vertex_count=g.n)
 
 
@@ -189,7 +191,8 @@ def contraction_set_to_vc(gm: VcGadgetMap, g: Graph, s) -> frozenset[int]:
             cover.update(v for v in comp if v != w)
         else:
             cover.update(sorted(comp)[:-1])
-    assert len(cover) <= len(s)
+    if len(cover) > len(s):
+        raise CertificateError(f"cover has {len(cover)} vertices, set has {len(s)} edges")
     return frozenset(cover)
 
 
@@ -234,8 +237,10 @@ def build_chordal_gadget(sat: SatInstance) -> tuple[Graph, ChordalGadgetMap]:
     gadget = Graph(offset + len(sat.clauses), edges)
 
     cert = recognize_chordal(gadget)
-    assert isinstance(cert, EliminationOrder)
-    assert alpha_chordal(gadget, cert).value == sat.variable_count + 1
+    if not isinstance(cert, EliminationOrder):
+        raise CertificateError("chordal gadget is not chordal")
+    if alpha_chordal(gadget, cert).value != sat.variable_count + 1:
+        raise CertificateError("chordal gadget alpha is not the variable count plus one")
     gm = ChordalGadgetMap(
         var_vertex=tuple(var_vertex),
         var_clique=tuple(var_clique),
@@ -298,8 +303,8 @@ def contraction_set_to_assignment(gm: ChordalGadgetMap, g: Graph, s) -> frozense
         if x not in positives and y not in positives:
             if not gadget_sets[x] & touched and not gadget_sets[y] & touched:
                 positives.add(min(x, y))
-    assert sat.satisfied_by(positives)
-    assert len(positives) <= len(s)
+    if not sat.satisfied_by(positives) or len(positives) > len(s):
+        raise CertificateError("transferred assignment is unsatisfying or over budget")
     return frozenset(positives)
 
 
@@ -316,8 +321,8 @@ def deletion_set_to_assignment(gm: ChordalGadgetMap, g: Graph, w) -> frozenset[i
     for c, (x, y) in enumerate(sat.clauses):
         if gm.clause_vertex[c] in w and x not in positives and y not in positives:
             positives.add(min(x, y))
-    assert sat.satisfied_by(positives)
-    assert len(positives) <= len(w)
+    if not sat.satisfied_by(positives) or len(positives) > len(w):
+        raise CertificateError("transferred assignment is unsatisfying or over budget")
     return frozenset(positives)
 
 
@@ -339,8 +344,8 @@ def build_mss_gadget(mss: MssInstance) -> tuple[Graph, MssGadgetMap, MssTarget]:
                 for v in range(offsets[jp], offsets[jp] + mss.a[jp]):
                     edges.append((u, v))
     gadget = Graph(total, edges)
-    cert = recognize_complete_multipartite(gadget)
-    assert isinstance(cert, MultipartiteParts)
+    if not isinstance(recognize_complete_multipartite(gadget), MultipartiteParts):
+        raise CertificateError("mss gadget is not complete multipartite")
 
     D = Fraction(sum(x * x for x in mss.a), 2)
     exact = Fraction(mss.J, 2) - D

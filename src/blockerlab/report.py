@@ -13,10 +13,11 @@ import hashlib
 import json
 from typing import Optional
 
-from .cotree import build_cotree, proper_colouring
+from .cotree import CotreeLeaf, build_cotree, proper_colouring
 from .errors import CertificateError
-from .graph import Graph, contract_edges, delete_edges, delete_vertices
-from .parameters import ParameterValue, alpha_exact, chi_exact, omega_exact, validate_witness
+from .graph import Graph
+from .oracle import apply_operation, parameter_value
+from .parameters import ParameterValue, validate_witness
 
 SCHEMA_VERSION = 1
 
@@ -42,22 +43,6 @@ def vertices_payload(vertices) -> list[int]:
     return sorted(vertices)
 
 
-def _exact(g: Graph, parameter: str) -> int:
-    return {"alpha": alpha_exact, "omega": omega_exact, "chi": chi_exact}[parameter](
-        g
-    ).value
-
-
-def _apply(g: Graph, operation: str, witness: dict) -> Graph:
-    if operation == "contract":
-        return contract_edges(g, [tuple(e) for e in witness["edges"]])[0]
-    if operation == "delete-vertices":
-        return delete_vertices(g, witness["vertices"])[0]
-    if operation == "delete-edges":
-        return delete_edges(g, [tuple(e) for e in witness["edges"]])
-    raise ValueError(f"unknown operation {operation!r}")
-
-
 def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -> tuple[bool, str]:
     """Recompute a report's claim from its witness.  Returns (ok, detail)."""
     if graph_bytes is not None:
@@ -80,7 +65,7 @@ def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -
 def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
     parameter = report["parameter"]
     operation = report["operation"]
-    before = _exact(g, parameter)
+    before = parameter_value(g, parameter)
     if report.get("value_before") is not None and report["value_before"] != before:
         return False, f"reported before-value {report['value_before']}, recomputed {before}"
     if report["answer"] == "no":
@@ -89,7 +74,11 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
     size = len(witness.get("edges", [])) + len(witness.get("vertices", []))
     if size > report["k"]:
         return False, f"witness has {size} elements, budget k={report['k']}"
-    after = _exact(_apply(g, operation, witness), parameter)
+    if operation == "delete-vertices":
+        chosen = witness["vertices"]
+    else:
+        chosen = [tuple(e) for e in witness["edges"]]
+    after = parameter_value(apply_operation(g, operation, chosen), parameter)
     if report.get("value_after") is not None and report["value_after"] != after:
         return False, f"reported after-value {report['value_after']}, recomputed {after}"
     if after > before - report["d"]:
@@ -111,11 +100,9 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
     if not validate_witness(g, pv):
         return False, "witness does not certify the reported value"
     if kind in ("alpha", "omega", "chi"):
-        exact = _exact(g, kind)
-    elif kind == "mu":
-        exact = g.n - _exact(g, "alpha")  # König on bipartite inputs
-    else:
-        exact = g.n - _exact(g, "alpha")
+        exact = parameter_value(g, kind)
+    else:  # tau = n - alpha; mu = tau by König on bipartite inputs
+        exact = g.n - parameter_value(g, "alpha")
     if value != exact:
         return False, f"reported {kind}={value}, recomputed {exact}"
     return True, f"{kind}={value} certified"
@@ -149,12 +136,22 @@ def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
 def _cograph_chi(g: Graph) -> int:
     """Chi of a cograph, certified by a clique and a proper colouring of one size.
 
-    Cographs are perfect, so the cotree's proper colouring uses exactly
-    omega colours.  Unlike ``chi_exact`` (n <= 20) this reaches the clique
-    solver's ceiling.
+    Both come from the cotree, so no exhaustive solver and its size ceiling
+    is involved: a node's largest clique is its larger child's at a union and
+    both children's together at a join.  Cographs are perfect, so the
+    cotree's proper colouring uses exactly that many colours.
     """
-    clique = omega_exact(g)
-    colouring = ParameterValue("chi", clique.value, proper_colouring(build_cotree(g)))
+    t = build_cotree(g)
+    cliques: list[tuple[int, ...]] = [()] * len(t.postorder)
+    for node in t.postorder:
+        if isinstance(node, CotreeLeaf):
+            cliques[node.index] = (node.vertex,)
+        else:
+            left, right = cliques[node.left.index], cliques[node.right.index]
+            cliques[node.index] = left + right if node.label == 1 else max(left, right, key=len)
+    root = cliques[t.root.index]
+    clique = ParameterValue("omega", len(root), frozenset(root))
+    colouring = ParameterValue("chi", clique.value, proper_colouring(t))
     if not validate_witness(g, clique):
         raise CertificateError("clique witness is not a clique")
     if not validate_witness(g, colouring):

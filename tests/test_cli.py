@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blockerlab import cli
 from blockerlab.cli import main
 from blockerlab.graph import (
     Graph,
@@ -194,6 +195,19 @@ def test_verify_mono_report_above_chi_exact_ceiling(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"]
 
 
+def test_verify_mono_report_above_omega_exact_ceiling(capsys, tmp_path):
+    # 42 vertices: the clique must come from the cotree (omega_exact: n <= 40).
+    g = graph_join(complete_bipartite_graph(10, 11), complete_bipartite_graph(10, 11))
+    graph_file = tmp_path / "cograph42.graph"
+    graph_file.write_text(format_graph(g))
+    code, out = _run(capsys, "mono", "--mode", "deficiency", "-d", "1", str(graph_file))
+    assert code == 0 and json.loads(out)["chi"] == 4
+    report_file = tmp_path / "mono.json"
+    report_file.write_text(out)
+    code, out = _run(capsys, "verify", str(report_file), str(graph_file))
+    assert code == 0 and json.loads(out)["valid"]
+
+
 def test_reduce_sat2chordal(capsys, tmp_path):
     inst = tmp_path / "sat.txt"
     inst.write_text("p wp2sat 2 1 1\n1 2\n")
@@ -245,6 +259,27 @@ def test_capacity_exit_code(capsys, tmp_path, monkeypatch):
     code = main(["oracle", "--op", "contract", "--param", "alpha",
                  "-k", "3", "-d", "1", str(big)])
     assert code == 3
+
+
+def test_removed_options_are_usage_errors(p4_file):
+    for argv in (
+        ["blocker", "--threads", "2", "-k", "1", "-d", "1", p4_file],
+        ["oracle", "--op", "contract", "--param", "alpha", "--threads", "2",
+         "-k", "1", "-d", "1", p4_file],
+        ["catalogue", "--class", "cograph", "--n", "3", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_internal_error_is_not_a_no(capsys, monkeypatch, k4_file):
+    def crash(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "recognize_cograph", crash)
+    assert main(["cotree", k4_file]) == 4
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_bad_file_exit_code(tmp_path):

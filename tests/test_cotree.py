@@ -8,7 +8,6 @@ from blockerlab.cotree import (
     CotreeLeaf,
     build_cotree,
     cotree_sexpr,
-    node_stats,
     parse_cotree_sexpr,
     proper_colouring,
     realize_cotree,
@@ -69,18 +68,16 @@ def test_roundtrip_under_relabelling():
         h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         t = build_cotree(h)
         assert are_isomorphic(realize_cotree(t), g)
-        assert node_stats(t).chi[t.root.index] == node_stats(build_cotree(g)).chi[
-            build_cotree(g).root.index
-        ]
+        assert t.chi == build_cotree(g).chi
 
 
 def test_node_stats_examples():
     t = build_cotree(cycle_graph(4))
-    stats = node_stats(t)
+    stats = t.stats()
     assert stats.chi[t.root.index] == 2
     assert stats.size[t.root.index] == 4
     t = build_cotree(complete_graph(4))
-    assert node_stats(t).chi[t.root.index] == 4
+    assert t.chi == 4
 
 
 def test_chi_matches_exact_on_random_cographs():
@@ -88,7 +85,7 @@ def test_chi_matches_exact_on_random_cographs():
     graphs = list(graph_catalogue("cograph", 9))
     for g in rng.sample(graphs, 200):
         t = build_cotree(g)
-        assert node_stats(t).chi[t.root.index] == chi_exact(g).value
+        assert t.chi == chi_exact(g).value
 
 
 def test_proper_colouring_uses_chi_colours():
@@ -96,7 +93,7 @@ def test_proper_colouring_uses_chi_colours():
         t = build_cotree(g)
         col = proper_colouring(t)
         assert all(col[u] != col[v] for u, v in g.edges())
-        assert len(set(col)) == node_stats(t).chi[t.root.index]
+        assert len(set(col)) == t.chi
 
 
 def test_sexpr_roundtrip():
@@ -105,6 +102,9 @@ def test_sexpr_roundtrip():
     parsed = parse_cotree_sexpr(text)
     assert realize_cotree(parsed) == realize_cotree(src)
     assert cotree_sexpr(parsed) == text
+    for bad in ("(0 1", "(", "", "(1 0 1 2)", "(0 1))"):
+        with pytest.raises(ValueError):
+            parse_cotree_sexpr(bad)
 
 
 def test_sexpr_format():

@@ -17,6 +17,7 @@ from blockerlab.graph import (
     delete_edges,
     delete_vertices,
     disjoint_union,
+    induced_subgraph,
     is_forest,
     path_graph,
     restriction,
@@ -121,6 +122,15 @@ def test_delete_nothing_is_identity(paw):
 def test_delete_vertices_rejects_out_of_range():
     with pytest.raises(InvalidVertexError):
         delete_vertices(path_graph(3), [5])
+    for bad in ([5], [-1, 0], [0, 3]):
+        with pytest.raises(InvalidVertexError):
+            induced_subgraph(path_graph(3), bad)
+
+
+def test_induced_subgraph_keeps_sorted_order():
+    g, remap = induced_subgraph(cycle_graph(5), [4, 0, 2, 0])
+    assert remap == {0: 0, 2: 1, 4: 2}
+    assert g == Graph(3, [(0, 2)])
 
 
 def test_simplicial_deletion_matches_contraction():

@@ -21,7 +21,7 @@ from blockerlab.monochromatic import (
     lambda_val,
     min_mono_edges_deficiency,
     min_mono_edges_fixed_h,
-    mono_to_edge_deletion_witness,
+    monochromatic_edge_set,
     recolour_module,
 )
 from blockerlab.oracle import brute_min_mono
@@ -42,9 +42,9 @@ def test_count_rejects_partial_colouring():
 
 def test_edge_deletion_witness():
     g = complete_graph(4)
-    assert mono_to_edge_deletion_witness(g, (1, 2, 3, 4)) == frozenset()
-    assert mono_to_edge_deletion_witness(g, (1, 1, 1, 1)) == frozenset(g.edges())
-    s = mono_to_edge_deletion_witness(g, (1, 1, 2, 2))
+    assert monochromatic_edge_set(g, (1, 2, 3, 4)) == frozenset()
+    assert monochromatic_edge_set(g, (1, 1, 1, 1)) == frozenset(g.edges())
+    s = monochromatic_edge_set(g, (1, 1, 2, 2))
     assert s == {(0, 1), (2, 3)}
     from blockerlab.graph import delete_edges
 

@@ -7,7 +7,7 @@ import blockerlab
 
 # Modules whose checks certify answers: ``python -O`` strips ``assert``, so
 # every check there must raise an exception instead.
-CERTIFYING_MODULES = ("monochromatic.py", "bipartite_blocker.py")
+CERTIFYING_MODULES = ("monochromatic.py", "bipartite_blocker.py", "reductions.py", "cotree.py")
 
 
 @pytest.mark.parametrize("module", CERTIFYING_MODULES)

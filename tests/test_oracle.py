@@ -5,7 +5,6 @@ import pytest
 
 from blockerlab.catalogue import (
     graph_catalogue,
-    random_connected_bipartite,
     random_connected_graph,
 )
 from blockerlab.errors import CapacityExceededError
@@ -23,6 +22,7 @@ from blockerlab.isomorphism import are_isomorphic
 from blockerlab.monochromatic import count_monochromatic_edges
 from blockerlab.oracle import (
     BlockerQuery,
+    apply_operation,
     brute_blocker,
     brute_blocker_decision,
     brute_min_mono,
@@ -84,6 +84,8 @@ def test_brute_blocker_invalid_query():
         BlockerQuery(path_graph(3), "contract", "alpha", 1, 0)
     with pytest.raises(ValueError):
         BlockerQuery(path_graph(3), "shrink", "alpha", 1, 1)
+    with pytest.raises(ValueError):
+        apply_operation(path_graph(3), "shrink", [(0, 1)])
 
 
 def test_decision_variant_agrees_on_monotone_pairs():
@@ -152,17 +154,6 @@ def test_brute_mss_budget_and_validation():
         brute_mss(20, (1,) * 20, 3, budget=100)
     with pytest.raises(ValueError):
         brute_mss(2, (1,), 2)
-
-
-def test_oracle_threads_match_serial():
-    rng = random.Random(37)
-    for _ in range(10):
-        g = random_connected_bipartite(rng, rng.randint(3, 7))
-        q = BlockerQuery(g, "contract", "alpha", 2, 1)
-        serial = brute_blocker(q, threads=1)
-        parallel = brute_blocker(q, threads=2)
-        assert serial.answer == parallel.answer
-        assert serial.witness == parallel.witness
 
 
 def test_catalogue_contents():

@@ -90,6 +90,12 @@ def test_unknown_subcommand_rejected(k4):
     assert not ok
 
 
+def test_unknown_operation_rejected(k4):
+    report = _blocker_report(operation="shrink", witness={"edges": [[0, 1]]})
+    ok, detail = verify_report(report, k4)
+    assert not ok and "unknown operation" in detail
+
+
 def test_malformed_report_never_raises(k4):
     ok, detail = verify_report({"subcommand": "oracle"}, k4)
     assert not ok and "error" in detail
