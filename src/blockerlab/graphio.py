@@ -17,6 +17,10 @@ from .errors import GraphFormatError
 from .graph import Graph
 from .reductions import MssInstance, SatInstance
 
+# Adjacency is one bitmask per vertex, allocated up front: refuse a header
+# that would allocate more than this many before any edge is read.
+MAX_VERTICES = 1_000_000
+
 
 def _payload_lines(text: str) -> list[list[str]]:
     lines = []
@@ -41,6 +45,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"bad header: {exc}") from exc
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"n={n} exceeds the supported {MAX_VERTICES} vertices")
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"header promises {m} edges, file has {len(body)}")

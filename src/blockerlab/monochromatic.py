@@ -13,6 +13,9 @@ Two independent dynamic programmes over the cotree:
   the children's classes are aligned by size rank; at join nodes the children
   share exactly ``lambda`` colours, described by a matching between their
   smallest class indices whose value counts the cross monochromatic edges.
+  Join nodes draw child bounds only from the child's Pareto frontier: the
+  finite (bounds, value) pairs that no pointwise smaller bounds tuple matches
+  in value, built once per child, tuple length and deficiency.
 
 Both reconstruct an optimal colouring from stored argmin choices, and they
 are cross-checked against each other and against the brute-force oracle in
@@ -111,12 +114,17 @@ def lambda_val(mu, a: Sequence[int], b: Sequence[int]) -> int:
 def lambda_merge(mu, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Sorted merge: matched sums plus unmatched entries of both tuples."""
     _check_matching(mu, len(a), len(b))
+    return tuple(_merge(mu, a, b))
+
+
+def _merge(mu, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """:func:`lambda_merge` without validating the matching."""
     lefts = {i for i, _ in mu}
     rights = {j for _, j in mu}
     merged = [a[i] + b[j] for i, j in mu]
     merged += [a[i] for i in range(len(a)) if i not in lefts]
     merged += [b[j] for j in range(len(b)) if j not in rights]
-    return tuple(sorted(merged))
+    return sorted(merged)
 
 
 # -- fixed number of colours ---------------------------------------------------
@@ -218,7 +226,11 @@ def _arrangements(key: tuple[int, ...]):
 
 
 def min_mono_edges_deficiency(t: Cotree, d: int) -> tuple[int, Colouring]:
-    """Minimum monochromatic edges over colourings with chi - d colours."""
+    """Minimum monochromatic edges over colourings with chi - d colours.
+
+    Refuses with :class:`CapacityExceededError` a run whose memo passes the
+    configured budget.
+    """
     chi = t.stats().chi[t.root.index]
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -248,22 +260,35 @@ def _suffix_min(values: Sequence[int]) -> tuple[int, ...]:
 
 
 def _ascending_tuples(length: int, cap: int, caps: Optional[Sequence[int]] = None):
-    """Non-decreasing tuples with entries in [0, cap] (pointwise caps win)."""
-    result: list[tuple[int, ...]] = []
-    cur: list[int] = []
-
-    def rec(i: int, prev: int) -> None:
-        if i == length:
-            result.append(tuple(cur))
-            return
+    """Non-decreasing tuples with entries in [0, cap] (pointwise caps win),
+    in lexicographic order."""
+    result: list[tuple[int, ...]] = [()]
+    for i in range(length):
         top = cap if caps is None else min(cap, caps[i])
-        for v in range(prev, top + 1):
-            cur.append(v)
-            rec(i + 1, v)
-            cur.pop()
-
-    rec(0, 0)
+        result = [b + (v,) for b in result for v in range(b[-1] if b else 0, top + 1)]
     return result
+
+
+def _run(frame, open_frame):
+    """Drive generator frames with an explicit stack instead of recursion.
+
+    A frame yields the arguments of a sub-call and is sent back its result;
+    ``open_frame(*args)`` returns ``(frame, None)`` to run a new frame or
+    ``(None, result)`` for a result known already.  Returns the result of
+    ``frame``, however deep the sub-calls nest.
+    """
+    stack, sent = [frame], None
+    while stack:
+        try:
+            args = stack[-1].send(sent)
+        except StopIteration as stop:
+            stack.pop()
+            sent = stop.value
+            continue
+        frame, sent = open_frame(*args)
+        if frame is not None:
+            stack.append(frame)
+    return sent
 
 
 class _DeficiencyDP:
@@ -272,24 +297,52 @@ class _DeficiencyDP:
     A state is (node, bounds, delta): colourings of the node's subtree into
     exactly ``chi(subtree) - delta`` colour slots (some possibly unused) that
     respect the size-rank alignment at union nodes, where the i-th smallest
-    slot holds at most ``bounds[i]`` vertices.  Bounds beyond the number of
-    slots are vacuous; an unsatisfiable state has value infinity.
+    slot holds at most ``bounds[i]`` vertices; ``bounds`` is non-decreasing.
+    Bounds beyond the number of slots are vacuous; an unsatisfiable state has
+    value infinity.
+
+    A join node takes child bounds from the child's frontier: the finite
+    ``(bounds, value)`` pairs of one (child, length, delta) that no pointwise
+    smaller tuple matches in value (:meth:`_frontier`).  The cross cost
+    ``sum bq[i] * br[j]`` and the merged class sizes only grow with the child
+    bounds, so a dominated tuple never beats the frontier tuple below it.
+    Each frontier is built once per run and shared by every parent state,
+    and a pair of child tuples is dropped before its matchings are tried
+    when even their sorted union overflows the parent's bounds.  All caches
+    live on the instance, and the memo is capped by the configured budget.
+
+    States and reconstruction steps are generator frames run by :func:`_run`:
+    a frame yields ``(node, bounds, delta)`` where it needs that state's
+    value or classes, so cotree depth is not bounded by the recursion limit.
     """
 
     def __init__(self, t: Cotree, d: int):
-        self.t = t
-        self.d = d
         stats = t.stats()
         self.size = stats.size
         self.chi = stats.chi
+        self.budget = configured_budget(None)
         self.memo: dict = {}
         self.choice: dict = {}
+        self.frontiers: dict = {}
 
     def value(self, node, bounds: tuple[int, ...], delta: int):
-        bounds = _suffix_min(bounds)
+        frame, known = self._open_state(node, bounds, delta)
+        return known if frame is None else _run(frame, self._open_state)
+
+    def _open_state(self, node, bounds, delta):
         key = (node.index, bounds, delta)
         if key in self.memo:
-            return self.memo[key]
+            return None, self.memo[key]
+        if len(self.memo) >= self.budget:
+            raise CapacityExceededError(
+                f"deficiency DP needs more than {self.budget} states",
+                needed=len(self.memo) + 1,
+                budget=self.budget,
+            )
+        return self._state(node, bounds, delta), None
+
+    def _state(self, node, bounds, delta):
+        key = (node.index, bounds, delta)
         slots = self.chi[node.index] - delta
         if slots < 1:
             self.memo[key] = INF
@@ -299,18 +352,48 @@ class _DeficiencyDP:
             value = 0 if ok else INF
             choice = ("leaf",)
         elif node.label == 0:
-            value, choice = self._union_node(node, bounds, delta)
+            value, choice = yield from self._union_node(node, bounds, delta)
         else:
-            value, choice = self._join_node(node, bounds, delta)
+            value, choice = yield from self._join_node(node, bounds, delta)
         if bounds:
             # The smallest slot may stay unused: it satisfies its bound for
             # free and the rest of the colouring lives in one slot fewer.
-            unused = self.value(node, bounds[1:], delta + 1)
+            unused = yield node, bounds[1:], delta + 1
             if unused < value:
                 value, choice = unused, ("empty", bounds[1:], delta + 1)
         self.memo[key] = value
         self.choice[key] = choice
         return value
+
+    def _frontier(self, node, m: int, delta: int):
+        """Finite Pareto-minimal ``(bounds, value)`` pairs of length ``m``.
+
+        A tuple is dropped when a tuple one step below it (one entry less by
+        one) has no larger value.  Chains of such steps reach every tuple
+        pointwise below, and the value never falls along them (a larger
+        bound admits every choice a smaller one does, at no higher cost), so
+        what is left is exactly the Pareto frontier.
+        """
+        key = (node.index, m, delta)
+        front = self.frontiers.get(key)
+        if front is not None:
+            return front
+        values: dict[tuple[int, ...], float] = {}
+        front = []
+        # Lexicographic order: every tuple comes after those one step below.
+        for b in _ascending_tuples(m, self.size[node.index]):
+            v = values[b] = yield node, b, delta
+            if v is INF:
+                continue
+            lower = 0
+            for i, x in enumerate(b):
+                if x > lower and values[b[:i] + (x - 1,) + b[i + 1 :]] <= v:
+                    break
+                lower = x
+            else:
+                front.append((b, v))
+        self.frontiers[key] = front
+        return front
 
     def _ordered_children(self, node):
         q, r = node.left, node.right
@@ -328,7 +411,7 @@ class _DeficiencyDP:
             # Both children span all slots; ranks align one to one.
             caps = [min(b, self.size[q.index]) for b in bounds]
             for bq in _ascending_tuples(ell, self.size[q.index], caps):
-                vq = self.value(q, bq, delta)
+                vq = yield q, bq, delta
                 if vq is INF:
                     continue
                 br = _suffix_min(
@@ -337,7 +420,7 @@ class _DeficiencyDP:
                         for i in range(ell)
                     ]
                 )
-                vr = self.value(r, br, delta - delta_gap)
+                vr = yield r, br, delta - delta_gap
                 if vq + vr < best:
                     best = vq + vr
                     best_choice = ("union", q, r, bq, delta, br, delta - delta_gap)
@@ -348,7 +431,7 @@ class _DeficiencyDP:
             caps = [min(bounds[off + j], self.size[q.index]) for j in range(tail)]
             for suffix in _ascending_tuples(tail, self.size[q.index], caps):
                 bq = _suffix_min(tuple(bounds[:off]) + suffix)
-                vq = self.value(q, bq, delta)
+                vq = yield q, bq, delta
                 if vq is INF:
                     continue
                 br = _suffix_min(
@@ -357,15 +440,15 @@ class _DeficiencyDP:
                         for j in range(tail)
                     ]
                 )
-                vr = self.value(r, br, 0)
+                vr = yield r, br, 0
                 if vq + vr < best:
                     best = vq + vr
                     best_choice = ("union", q, r, bq, delta, br, 0)
         else:
             # All constrained slots are exclusive to q; r is coloured freely
             # and properly with its own chi colours.
-            vq = self.value(q, bounds, delta)
-            vr = self.value(r, (), 0)
+            vq = yield q, bounds, delta
+            vr = yield r, (), 0
             if vq + vr < best:
                 best = vq + vr
                 best_choice = ("union", q, r, bounds, delta, (), 0)
@@ -386,26 +469,26 @@ class _DeficiencyDP:
                 mr = min(ell + lam, slots_r)
                 if lam > min(mq, mr):
                     continue
-                for bq in _ascending_tuples(mq, self.size[q.index]):
-                    vq = self.value(q, bq, dq)
-                    if vq is INF:
-                        continue
-                    for br in _ascending_tuples(mr, self.size[r.index]):
-                        vr = self.value(r, br, dr)
-                        if vr is INF:
-                            continue
+                checked = min(ell, mq + mr - lam)
+                front_q = yield from self._frontier(q, mq, dq)
+                front_r = yield from self._frontier(r, mr, dr)
+                for bq, vq in front_q:
+                    for br, vr in front_r:
                         base = vq + vr
                         if base >= best:
+                            continue
+                        # A merge sums matched pairs, so entry by entry it is
+                        # at least the sorted union of both tuples: if that
+                        # overflows the parent's bounds, no matching fits.
+                        floor = sorted(bq + br)
+                        if any(floor[i] > bounds[i] for i in range(checked)):
                             continue
                         for mu in _lambda_matchings(mq, mr, lam):
                             cost = base + sum(bq[i] * br[j] for i, j in mu)
                             if cost >= best:
                                 continue
-                            merged = lambda_merge(mu, bq, br)
-                            if all(
-                                merged[i] <= bounds[i]
-                                for i in range(min(ell, len(merged)))
-                            ):
+                            merged = _merge(mu, bq, br)
+                            if all(merged[i] <= bounds[i] for i in range(checked)):
                                 best = cost
                                 best_choice = ("join", q, r, bq, dq, br, dr, mu)
         return best, best_choice
@@ -414,18 +497,22 @@ class _DeficiencyDP:
 
     def classes(self, node, bounds: tuple[int, ...], delta: int):
         """Colour classes of the chosen optimum, ascending, empties included."""
-        bounds = _suffix_min(bounds)
-        key = (node.index, bounds, delta)
-        choice = self.choice[key]
+        return _run(self._classes(node, bounds, delta), self._open_classes)
+
+    def _open_classes(self, node, bounds, delta):
+        return self._classes(node, bounds, delta), None
+
+    def _classes(self, node, bounds, delta):
+        choice = self.choice[(node.index, bounds, delta)]
         if choice[0] == "leaf":
             return [(node.vertex,)]
         if choice[0] == "empty":
             _, rest, ndelta = choice
-            return [()] + self.classes(node, rest, ndelta)
+            return [()] + (yield node, rest, ndelta)
         if choice[0] == "union":
             _, q, r, bq, dq, br, dr = choice
-            cq = self.classes(q, bq, dq)
-            cr = self.classes(r, br, dr)
+            cq = yield q, bq, dq
+            cr = yield r, br, dr
             offset = len(cq) - len(cr)
             if offset < 0:
                 raise CertificateError(
@@ -436,8 +523,8 @@ class _DeficiencyDP:
                 for i in range(len(cq))
             ]
         _, q, r, bq, dq, br, dr, mu = choice
-        cq = self.classes(q, bq, dq)
-        cr = self.classes(r, br, dr)
+        cq = yield q, bq, dq
+        cr = yield r, br, dr
         lefts = {i for i, _ in mu}
         rights = {j for _, j in mu}
         groups = [tuple(sorted(cq[i] + cr[j])) for i, j in mu]

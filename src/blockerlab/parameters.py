@@ -207,7 +207,10 @@ def alpha_bipartite(g: Graph, cert: Bipartition) -> ParameterValue:
 
     cover = (set(cert.left) - reach_left) | reach_right
     independent = frozenset(range(g.n)) - cover
-    assert len(independent) == g.n - len(match)
+    if len(independent) != g.n - len(match):
+        raise CertificateError(
+            f"König cover leaves {len(independent)} vertices, matching has {len(match)} edges"
+        )
     return ParameterValue("alpha", len(independent), independent)
 
 

@@ -85,7 +85,8 @@ def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
     su, sv = set(path_u), set(path_v)
     meet = next(x for x in path_u if x in sv)
     cyc = path_u[: path_u.index(meet) + 1] + path_v[: path_v.index(meet)][::-1]
-    assert len(cyc) % 2 == 1
+    if len(cyc) % 2 != 1:
+        raise CertificateError(f"odd-cycle witness has even length {len(cyc)}")
     return tuple(cyc)
 
 
@@ -145,7 +146,8 @@ def _find_hole(g: Graph, v: int, u: int, w: int) -> tuple[int, ...]:
             if y not in parent and y != v and y not in blocked:
                 parent[y] = x
                 queue.append(y)
-    assert w in parent, "failing PEO triple must close a cycle"
+    if w not in parent:
+        raise CertificateError("failing PEO triple must close a cycle")
     path = [w]
     while path[-1] != u:
         path.append(parent[path[-1]])
@@ -194,7 +196,8 @@ def recognize_complete_multipartite(g: Graph) -> Union[MultipartiteParts, NotInC
         return MultipartiteParts(tuple(sorted(parts, key=min)))
     p2p1 = disjoint_union(path_graph(2), path_graph(1))
     hit = contains_induced(g, p2p1)
-    assert hit is not None
+    if hit is None:
+        raise CertificateError("not complete multipartite, yet no induced P2+P1")
     return NotInClass("induced P2+P1", hit)
 
 

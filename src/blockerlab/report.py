@@ -18,6 +18,7 @@ from .errors import CertificateError
 from .graph import Graph
 from .oracle import apply_operation, parameter_value
 from .parameters import ParameterValue, validate_witness
+from .recognizers import NotInClass, recognize_bipartite
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +46,8 @@ def vertices_payload(vertices) -> list[int]:
 
 def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -> tuple[bool, str]:
     """Recompute a report's claim from its witness.  Returns (ok, detail)."""
+    if not isinstance(report, dict):
+        return False, "report must be a JSON object"
     if graph_bytes is not None:
         want = report.get("input_digest")
         if want and want != digest_bytes(graph_bytes):
@@ -99,6 +102,11 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
     pv = ParameterValue(kind, value, wit)
     if not validate_witness(g, pv):
         return False, "witness does not certify the reported value"
+    if kind == "mu":
+        odd = recognize_bipartite(g)
+        if isinstance(odd, NotInClass):
+            # König's mu = n - alpha holds on bipartite graphs only.
+            return False, f"mu is verified on bipartite graphs only; odd cycle {list(odd.witness)}"
     if kind in ("alpha", "omega", "chi"):
         exact = parameter_value(g, kind)
     else:  # tau = n - alpha; mu = tau by König on bipartite inputs
@@ -160,7 +168,10 @@ def _cograph_chi(g: Graph) -> int:
 
 
 def load_report(text: str) -> dict:
-    report = json.loads(text)
+    try:
+        report = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("report nests too deeply") from exc
     if not isinstance(report, dict):
         raise ValueError("report must be a JSON object")
     return report

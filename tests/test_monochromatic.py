@@ -14,6 +14,7 @@ from blockerlab.graph import (
     cycle_graph,
     graph_join,
 )
+from blockerlab.errors import CapacityExceededError
 from blockerlab.monochromatic import (
     count_monochromatic_edges,
     has_property_one,
@@ -24,7 +25,7 @@ from blockerlab.monochromatic import (
     monochromatic_edge_set,
     recolour_module,
 )
-from blockerlab.oracle import brute_min_mono
+from blockerlab.oracle import BUDGET_ENV_VAR, brute_min_mono
 from blockerlab.parameters import chi_exact
 
 
@@ -176,18 +177,97 @@ def test_fixed_h_four_colours_against_brute():
         checked += 1
 
 
+def _threshold_chain(n):
+    from blockerlab.cotree import Cotree, CotreeInner, CotreeLeaf
+
+    node = CotreeLeaf(0)
+    for v in range(1, n):
+        node = CotreeInner(v % 2, node, CotreeLeaf(v))
+    return Cotree(node)
+
+
 def test_fixed_h_deep_cotree_does_not_recurse():
     # A 1100-vertex threshold chain, built directly: its cotree is as deep
     # as it is wide, far past the interpreter's recursion limit.
-    from blockerlab.cotree import Cotree, CotreeInner, CotreeLeaf, realize_cotree
+    from blockerlab.cotree import realize_cotree
 
-    node = CotreeLeaf(0)
-    for v in range(1, 1100):
-        node = CotreeInner(v % 2, node, CotreeLeaf(v))
-    t = Cotree(node)
+    t = _threshold_chain(1100)
     count, col = min_mono_edges_fixed_h(t, 2)
     assert count_monochromatic_edges(realize_cotree(t), col) == count
     assert set(col) <= {1, 2}
+
+
+def test_deficiency_deep_cotree_does_not_recurse(monkeypatch):
+    # Threshold chains (the 1100-vertex one of the fixed-h test among them)
+    # have cotrees as deep as they are wide, far past the interpreter's
+    # recursion limit.  One monochromatic edge is optimal with chi - 1
+    # colours: vertex 0 and the odd vertices form the largest clique, and
+    # every other even vertex can share the colour of an earlier odd one.
+    from blockerlab.cotree import realize_cotree
+
+    t = _threshold_chain(500)
+    count, col = min_mono_edges_deficiency(t, 1)
+    assert count == 1
+    assert count_monochromatic_edges(realize_cotree(t), col) == 1
+    assert len(set(col)) <= t.chi - 1
+    # The full 1100-vertex chain needs about 600,000 states; a small budget
+    # refuses it with a structured error instead of a RecursionError.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "20000")
+    with pytest.raises(CapacityExceededError):
+        min_mono_edges_deficiency(_threshold_chain(1100), 1)
+
+
+def test_deficiency_memo_respects_budget(monkeypatch):
+    t = build_cotree(complete_graph(6))
+    assert min_mono_edges_deficiency(t, 2)[0] == 2  # classes 2, 2, 1, 1
+    monkeypatch.setenv(BUDGET_ENV_VAR, "10")
+    with pytest.raises(CapacityExceededError) as info:
+        min_mono_edges_deficiency(t, 2)
+    assert info.value.budget == 10 and info.value.needed > 10
+
+
+def test_deficiency_frontier_prunes_and_matches_fixed_h():
+    # Random cographs with 18-24 vertices and chi 5-6: large enough that the
+    # Pareto frontiers drop most bound tuples.  Each frontier is checked
+    # against its definition, and each optimum against the fixed-h DP.
+    from blockerlab.cotree import realize_cotree
+    from blockerlab.monochromatic import INF, _DeficiencyDP
+
+    rng = random.Random(1809)
+    dropped = checked = 0
+    while checked < 10:
+        t = _random_cotree(rng, rng.randint(18, 24), 0.4)
+        if t.chi not in (5, 6):
+            continue
+        checked += 1
+        g = realize_cotree(t)
+        for d in (1, 2, 3):
+            count, col = min_mono_edges_deficiency(t, d)
+            assert count == min_mono_edges_fixed_h(t, t.chi - d)[0]
+            assert count_monochromatic_edges(g, col) == count
+            assert len(set(col)) <= t.chi - d
+            dp = _DeficiencyDP(t, d)
+            assert dp.value(t.root, (), d) == count
+            for (index, m, delta), front in dp.frontiers.items():
+                node = t.postorder[index]
+                finite = {
+                    b: v
+                    for b in itertools.combinations_with_replacement(
+                        range(t.stats().size[index] + 1), m
+                    )
+                    if (v := dp.value(node, b, delta)) is not INF
+                }
+                minimal = {
+                    b: v
+                    for b, v in finite.items()
+                    if not any(
+                        c != b and w <= v and all(map(int.__le__, c, b))
+                        for c, w in finite.items()
+                    )
+                }
+                assert dict(front) == minimal and len(front) == len(minimal)
+                dropped += len(finite) - len(front)
+    assert dropped > 1000
 
 
 def test_deficiency_examples():

@@ -99,3 +99,15 @@ def test_unknown_operation_rejected(k4):
 def test_malformed_report_never_raises(k4):
     ok, detail = verify_report({"subcommand": "oracle"}, k4)
     assert not ok and "error" in detail
+
+
+def test_mu_report_on_non_bipartite_graph_is_refused_explicitly():
+    # A triangle's maximum matching has one edge, but n - alpha is 2: König's
+    # identity needs a bipartite graph, so verify must not recompute mu that way.
+    report = {"subcommand": "param", "kind": "mu", "value": 1, "witness": {"edges": [[0, 1]]}}
+    ok, detail = verify_report(report, complete_graph(3))
+    assert not ok
+    assert "bipartite" in detail and "recomputed" not in detail
+    report.update(value=2, witness={"edges": [[0, 1], [2, 3]]})
+    ok, detail = verify_report(report, cycle_graph(4))
+    assert ok, detail
