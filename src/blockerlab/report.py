@@ -103,10 +103,10 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
     if not validate_witness(g, pv):
         return False, "witness does not certify the reported value"
     if kind == "mu":
-        odd = recognize_bipartite(g)
-        if isinstance(odd, NotInClass):
+        cert = recognize_bipartite(g)
+        if isinstance(cert, NotInClass):
             # König's mu = n - alpha holds on bipartite graphs only.
-            return False, f"mu is verified on bipartite graphs only; odd cycle {list(odd.witness)}"
+            return False, f"mu is verified on bipartite graphs only; odd cycle {list(cert.witness)}"
     if kind in ("alpha", "omega", "chi"):
         exact = parameter_value(g, kind)
     else:  # tau = n - alpha; mu = tau by König on bipartite inputs
