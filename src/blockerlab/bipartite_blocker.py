@@ -8,9 +8,10 @@ The solver dispatches on instance shape:
    ``2d+1`` edges grown around a maximum matching contracts to a single
    vertex whose removal leaves a graph with alpha at most ``alpha - d - 1``;
 3. otherwise ``k <= 2d`` and plain subset enumeration is constant-degree
-   polynomial; alpha of each contracted graph is computed by splitting an
-   independent set into contracted and untouched vertices, the untouched part
-   being bipartite.
+   polynomial, refused with :class:`CapacityExceededError` when the number of
+   edge sets passes the configured budget; alpha of each contracted graph is
+   computed by splitting an independent set into contracted and untouched
+   vertices, the untouched part being bipartite.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import CertificateError
+from .errors import CapacityExceededError, CertificateError
 from .graph import Edge, Graph, bits, contract_edges, induced_subgraph, validate_edge_set
-from .oracle import BlockerQuery, brute_blocker
+from .oracle import BlockerQuery, _subset_count, brute_blocker, configured_budget
 from .parameters import alpha_bipartite, mu_bipartite
 from .recognizers import Bipartition, NotInClass, recognize_bipartite
 
@@ -170,6 +171,14 @@ def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutc
 
     # k <= 2d: enumeration over subsets of at most k edges, smallest first.
     edges = g.edges()
+    needed = _subset_count(len(edges), k)
+    budget = configured_budget(None)
+    if needed > budget:
+        raise CapacityExceededError(
+            f"{needed} edge sets exceed the enumeration budget of {budget}",
+            needed=needed,
+            budget=budget,
+        )
     target = alpha - d
     for size in range(1, min(k, len(edges)) + 1):
         for subset in combinations(edges, size):

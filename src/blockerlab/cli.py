@@ -116,6 +116,8 @@ def _cmd_param(args) -> int:
     if args.klass != "auto" and cert_of(args.klass) is None:
         raise GraphFormatError(f"graph is not {args.klass}: required by --class")
     for klass, solve in routes:
+        if klass == "cograph" and g.n == 0:
+            continue  # no cotree; the fallback answers the 0-vertex graph
         if (fallback is None or args.klass in ("auto", klass)) and cert_of(klass) is not None:
             pv, used = solve(g, certs[klass]), klass
             break

@@ -4,6 +4,13 @@ A cotree is a rooted binary tree whose leaves are the vertices of a cograph
 and whose interior nodes are labelled 0 (disjoint union) or 1 (join).  Both
 colouring dynamic programmes run over this structure, so the tree keeps a
 postorder index per node together with subtree sizes and chromatic numbers.
+It keeps no per-node vertex sets (``subtree_vertices`` is gone): a 4000-vertex
+chain's would hold 65 MB.  Callers that need a subtree's vertices gather them
+in one postorder pass.
+
+:func:`build_cotree` costs O(n^2) big-integer mask operations, and nothing in
+this module recurses, so deep trees (threshold chains of thousands of
+vertices) build, print and parse under the default recursion limit.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import CertificateError, NotACographError
-from .graph import Graph, bits, contains_induced, induced_subgraph, path_graph
+from .graph import Graph, bits
 
 
 class CotreeLeaf:
@@ -80,12 +87,10 @@ class Cotree:
         self.n = len(vertices)
         sizes = [0] * len(self.postorder)
         chis = [0] * len(self.postorder)
-        verts: list[tuple[int, ...]] = [()] * len(self.postorder)
         for node in self.postorder:
             if isinstance(node, CotreeLeaf):
                 sizes[node.index] = 1
                 chis[node.index] = 1
-                verts[node.index] = (node.vertex,)
             else:
                 li, ri = node.left.index, node.right.index
                 sizes[node.index] = sizes[li] + sizes[ri]
@@ -93,9 +98,7 @@ class Cotree:
                     chis[node.index] = max(chis[li], chis[ri])
                 else:
                     chis[node.index] = chis[li] + chis[ri]
-                verts[node.index] = verts[li] + verts[ri]
         self._stats = NodeStats(size=tuple(sizes), chi=tuple(chis))
-        self.subtree_vertices = tuple(verts)
 
     @property
     def chi(self) -> int:
@@ -113,35 +116,127 @@ def _chain(nodes: list[CotreeNode], label: int) -> CotreeNode:
     return out
 
 
+def _components(adj: tuple[int, ...], mask: int, co: bool) -> list[int]:
+    """Components of ``G[mask]``, or of its complement when ``co``, as
+    bitmasks ordered by least vertex."""
+    parts = []
+    rest = mask
+    while rest:
+        frontier = rest & -rest
+        rest ^= frontier
+        part = frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nbrs = adj[low.bit_length() - 1]
+            reached = rest & ~nbrs if co else rest & nbrs
+            rest ^= reached
+            part |= reached
+            frontier |= reached
+        parts.append(part)
+    return parts
+
+
+def _induced_p4(adj: tuple[int, ...], mask: int) -> tuple[int, int, int, int]:
+    """An induced P4 ``a-b-c-d`` of ``G[mask]``, which is connected and
+    co-connected, in O(|mask|^2) mask operations.
+
+    Split ``mask`` around its least vertex ``v`` into neighbours ``N`` and
+    non-neighbours ``M``.  A vertex of ``N`` seeing part of a component of
+    ``G[M]`` closes a P4 through ``v``, and so, in the complement, does a
+    vertex of ``M`` seeing part of a component of the complement of
+    ``G[N]``.  Otherwise adjacency between those components is all or
+    nothing, and two co-components of ``N`` with incomparable sets of
+    adjacent components of ``G[M]`` give the P4.
+    """
+    low = mask & -mask
+    v = low.bit_length() - 1
+    near = adj[v] & mask
+    far = mask & ~near & ~low
+    for co, a_side, b_side in ((False, near, far), (True, far, near)):
+        # In H (G, or its complement when co) a_side are v's neighbours.
+        for part in _components(adj, b_side, co):
+            for y in bits(a_side):
+                seen = (~adj[y] if co else adj[y]) & part
+                unseen = part & ~seen
+                if not (seen and unseen):
+                    continue
+                for x in bits(seen):
+                    step = (~adj[x] if co else adj[x]) & unseen
+                    if step:
+                        x2 = next(bits(step))
+                        # H-path v-y-x-x2; a complement P4 p0-p1-p2-p3 is
+                        # the P4 p1-p3-p0-p2 of G.
+                        return (y, x2, v, x) if co else (v, y, x, x2)
+    # One vertex stands for each component; the rows are, per co-component
+    # of N, the index set of adjacent components of G[M].
+    reps_m = [next(bits(part)) for part in _components(adj, far, False)]
+    rows = sorted(
+        ((sum(1 << i for i, x in enumerate(reps_m) if adj[y] >> x & 1), y)
+         for y in (next(bits(part)) for part in _components(adj, near, True))),
+        key=lambda row: row[0].bit_count(),
+    )
+    for (s1, y1), (s2, y2) in zip(rows, rows[1:]):
+        if s1 & ~s2:
+            x1 = reps_m[next(bits(s1 & ~s2))]
+            x2 = reps_m[next(bits(s2 & ~s1))]
+            return x1, y1, y2, x2
+    raise CertificateError("connected, co-connected, n>1 implies an induced P4")
+
+
+def _checked_p4(adj: tuple[int, ...], path: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    a, b, c, d = path
+    pattern = [adj[a] >> b & 1, adj[b] >> c & 1, adj[c] >> d & 1,
+               adj[a] >> c & 1, adj[a] >> d & 1, adj[b] >> d & 1]
+    if pattern != [1, 1, 1, 0, 0, 0]:
+        raise CertificateError(f"{path} is not an induced P4")
+    return path
+
+
 def build_cotree(g: Graph) -> Cotree:
-    """Build a binary cotree for ``g`` by recursive complement-connectivity.
+    """Build a binary cotree for ``g`` by complement-connectivity on bitmasks.
+
+    Each vertex set on an explicit stack splits into the components of its
+    induced subgraph, or, when that is connected, of its complement.  Each
+    level touches each of its vertices at most twice, so a build costs O(n^2)
+    big-integer mask operations and never recurses.  Parts are ordered by least vertex and
+    chained left-nested; label 0 is union, 1 is join.
 
     Raises :class:`NotACographError` carrying an induced P4 when ``g`` is not
     a cograph.
     """
     if g.n == 0:
         raise ValueError("cannot build a cotree for the empty graph")
-
-    def rec(vertices: list[int]) -> CotreeNode:
-        if len(vertices) == 1:
-            return CotreeLeaf(vertices[0])
-        sub, _ = induced_subgraph(g, vertices)
-        comps = sub.connected_components()
-        if len(comps) > 1:
-            parts = [[vertices[i] for i in comp] for comp in comps]
-            parts.sort(key=min)
-            return _chain([rec(p) for p in parts], 0)
-        co_comps = sub.complement().connected_components()
-        if len(co_comps) > 1:
-            parts = [[vertices[i] for i in comp] for comp in co_comps]
-            parts.sort(key=min)
-            return _chain([rec(p) for p in parts], 1)
-        hit = contains_induced(sub, path_graph(4))
-        if hit is None:
-            raise CertificateError("connected, co-connected, n>1 implies an induced P4")
-        raise NotACographError(tuple(vertices[i] for i in hit))
-
-    return Cotree(rec(list(range(g.n))))
+    adj = g.adj
+    # Preorder entries: a leaf's vertex, or (label, child entry ids).
+    entries: list = []
+    stack = [((1 << g.n) - 1, None)]
+    while stack:
+        mask, parent = stack.pop()
+        me = len(entries)
+        if parent is not None:
+            entries[parent][1].append(me)
+        if mask & (mask - 1) == 0:
+            entries.append(mask.bit_length() - 1)
+            continue
+        label = 0
+        parts = _components(adj, mask, False)
+        if len(parts) == 1:
+            label = 1
+            parts = _components(adj, mask, True)
+        if len(parts) == 1:
+            raise NotACographError(_checked_p4(adj, _induced_p4(adj, mask)))
+        entries.append((label, []))
+        stack.extend((part, me) for part in reversed(parts))
+    # Children follow their parent in preorder, so build back to front.
+    nodes: list = [None] * len(entries)
+    for i in range(len(entries) - 1, -1, -1):
+        entry = entries[i]
+        if isinstance(entry, int):
+            nodes[i] = CotreeLeaf(entry)
+        else:
+            nodes[i] = _chain([nodes[c] for c in entry[1]], entry[0])
+    return Cotree(nodes[0])
 
 
 def realize_cotree(t: Cotree) -> Graph:
@@ -163,42 +258,40 @@ def realize_cotree(t: Cotree) -> Graph:
 
 def cotree_sexpr(t: Cotree) -> str:
     """Render the tree as a nested s-expression, e.g. ``(1 (0 0 1) 2)``."""
-
-    def rec(node: CotreeNode) -> str:
-        if isinstance(node, CotreeLeaf):
-            return str(node.vertex)
-        return f"({node.label} {rec(node.left)} {rec(node.right)})"
-
-    return rec(t.root)
+    out: list[str] = []
+    stack: list = [t.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, CotreeLeaf):
+            out.append(str(item.vertex))
+        else:
+            out.append(f"({item.label} ")
+            stack.extend((")", item.right, " ", item.left))
+    return "".join(out)
 
 
 def parse_cotree_sexpr(text: str) -> Cotree:
     """Inverse of :func:`cotree_sexpr`."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos == len(tokens):
-            raise ValueError("malformed cotree expression")
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse() -> CotreeNode:
-        token = take()
+    # Open frames hold [label, left, right] as they fill; frames[0] takes the root.
+    frames: list[list] = [[]]
+    for token in tokens:
         if token == "(":
-            label = int(take())
-            left = parse()
-            right = parse()
-            if take() != ")":
+            frames.append([])
+        elif token == ")":
+            if len(frames) == 1 or len(frames[-1]) != 3:
                 raise ValueError("malformed cotree expression")
-            return CotreeInner(label, left, right)
-        return CotreeLeaf(int(token))
-
-    root = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in cotree expression")
-    return Cotree(root)
+            label, left, right = frames.pop()
+            frames[-1].append(CotreeInner(label, left, right))
+        elif len(frames) > 1 and not frames[-1]:
+            frames[-1].append(int(token))
+        else:
+            frames[-1].append(CotreeLeaf(int(token)))
+    if len(frames) != 1 or len(frames[0]) != 1:
+        raise ValueError("malformed cotree expression")
+    return Cotree(frames[0][0])
 
 
 def proper_colouring(t: Cotree) -> tuple[int, ...]:

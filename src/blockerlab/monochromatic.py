@@ -555,21 +555,21 @@ def has_property_one(t: Cotree, c: Sequence[int]) -> bool:
     """
     if len(c) != t.n:
         raise ValueError("colouring must be total")
+    # Colour histograms of every subtree, built in one postorder pass; a
+    # child's histogram is dropped once its parent has merged it.
+    hists: list = [None] * len(t.postorder)
     for node in t.postorder:
-        if isinstance(node, CotreeLeaf) or node.label != 0:
+        if isinstance(node, CotreeLeaf):
+            hists[node.index] = {c[node.vertex]: 1}
             continue
-        hist_q = _colour_histogram(t, node.left, c)
-        hist_r = _colour_histogram(t, node.right, c)
-        if not _ranks_alignable(hist_q, hist_r):
+        hist_q, hist_r = hists[node.left.index], hists[node.right.index]
+        hists[node.left.index] = hists[node.right.index] = None
+        if node.label == 0 and not _ranks_alignable(hist_q, hist_r):
             return False
+        for colour, count in hist_r.items():
+            hist_q[colour] = hist_q.get(colour, 0) + count
+        hists[node.index] = hist_q
     return True
-
-
-def _colour_histogram(t: Cotree, node, c) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for v in t.subtree_vertices[node.index]:
-        hist[c[v]] = hist.get(c[v], 0) + 1
-    return hist
 
 
 def _rank_interval(hist: dict[int, int], colour: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import pytest
 
 from blockerlab import cli
 from blockerlab.cli import main
+from blockerlab.cotree import parse_cotree_sexpr, realize_cotree
 from blockerlab.graph import (
     Graph,
     complete_bipartite_graph,
@@ -114,6 +115,29 @@ def test_cotree_prints_sexpr(capsys, k4_file):
 
 def test_cotree_rejects_non_cograph(capsys, p4_file):
     assert main(["cotree", p4_file]) == 2
+
+
+def test_cotree_on_the_1200_vertex_chain(capsys, tmp_path):
+    # Vertex i joins all earlier vertices when i is odd: a cotree of depth 1199.
+    chain = Graph(1200, [(i, j) for i in range(1, 1200, 2) for j in range(i)])
+    path = tmp_path / "chain.graph"
+    path.write_text(format_graph(chain))
+    code, out = _run(capsys, "cotree", str(path))
+    assert code == 0
+    assert realize_cotree(parse_cotree_sexpr(out)) == chain
+
+
+def test_empty_graph_chi_falls_back_and_cotree_refuses(capsys, tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text(format_graph(Graph(0)))
+    for kind in ("alpha", "omega", "chi"):
+        code, out = _run(capsys, "param", "--kind", kind, str(path))
+        assert code == 0 and json.loads(out)["value"] == 0
+    assert json.loads(out)["graph_class"] == "general"
+    assert main(["cotree", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot build a cotree for the empty graph" in err
+    assert "P4" not in err
 
 
 def test_blocker_yes_and_no_exit_codes(capsys, p4_file):
@@ -259,6 +283,16 @@ def test_capacity_exit_code(capsys, tmp_path, monkeypatch):
     code = main(["oracle", "--op", "contract", "--param", "alpha",
                  "-k", "3", "-d", "1", str(big)])
     assert code == 3
+
+
+def test_blocker_enumeration_is_budgeted(capsys, tmp_path, monkeypatch):
+    # C_40 with k=4 <= 2d enumerates 102,091 edge sets: refused, not run.
+    monkeypatch.setenv("BLOCKERLAB_BUDGET", "1000")
+    path = tmp_path / "c40.graph"
+    path.write_text(format_graph(cycle_graph(40)))
+    code = main(["blocker", "-k", "4", "-d", "3", str(path)])
+    assert code == 3
+    assert "102091" in capsys.readouterr().err
 
 
 def test_removed_options_are_usage_errors(p4_file):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -13,7 +14,14 @@ from blockerlab.cotree import (
     realize_cotree,
 )
 from blockerlab.errors import NotACographError
-from blockerlab.graph import Graph, complete_graph, cycle_graph, graph_join, path_graph
+from blockerlab.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    graph_join,
+    path_graph,
+)
 from blockerlab.isomorphism import are_isomorphic
 from blockerlab.parameters import chi_exact
 
@@ -110,3 +118,84 @@ def test_sexpr_roundtrip():
 def test_sexpr_format():
     t = build_cotree(complete_graph(2))
     assert cotree_sexpr(t) == "(1 0 1)"
+
+
+def _random_cograph(rng, n):
+    # Join or union random pairs of parts, then relabel the vertices.
+    parts = [Graph(1) for _ in range(n)]
+    while len(parts) > 1:
+        a = parts.pop(rng.randrange(len(parts)))
+        b = parts.pop(rng.randrange(len(parts)))
+        parts.append(graph_join(a, b) if rng.random() < 0.5 else disjoint_union(a, b))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in parts[0].edges()])
+
+
+def _threshold_chain(n, rng=None):
+    # Vertex i joins all earlier vertices when i is odd: the deepest cotree.
+    label = list(range(n))
+    if rng is not None:
+        rng.shuffle(label)
+    return Graph(n, [(label[i], label[j]) for i in range(1, n, 2) for j in range(i)])
+
+
+def _assert_induced_p4(g, witness):
+    a, b, c, d = witness
+    assert len(set(witness)) == 4
+    for u, v in ((a, b), (b, c), (c, d)):
+        assert g.has_edge(u, v)
+    for u, v in ((a, c), (a, d), (b, d)):
+        assert not g.has_edge(u, v)
+
+
+def test_roundtrip_on_random_cographs_up_to_60():
+    rng = random.Random(31)
+    for n in list(range(1, 61)) * 2:
+        g = _random_cograph(rng, n)
+        assert realize_cotree(build_cotree(g)) == g
+
+
+def test_threshold_chains_build_without_recursion():
+    # Depth n - 1 trees, under the interpreter's default recursion limit.
+    assert sys.getrecursionlimit() <= 1000
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4, 5, 300, 1200):
+        g = _threshold_chain(n, rng)
+        t = build_cotree(g)
+        assert realize_cotree(t) == g
+        assert t.chi == n // 2 + 1  # vertex 0 and every odd vertex
+
+
+def test_sexpr_roundtrip_on_the_1200_chain():
+    g = _threshold_chain(1200, random.Random(6))
+    text = cotree_sexpr(build_cotree(g))
+    parsed = parse_cotree_sexpr(text)
+    assert cotree_sexpr(parsed) == text
+    assert realize_cotree(parsed) == g
+
+
+def test_non_cograph_witness_is_an_induced_p4():
+    rng = random.Random(17)
+    seen = 0
+    for _ in range(300):
+        n = rng.randrange(4, 14)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        try:
+            build_cotree(g)
+        except NotACographError as err:
+            _assert_induced_p4(g, err.witness)
+            seen += 1
+    assert seen > 100
+
+
+def test_witness_on_chains_with_a_defect():
+    chain = _threshold_chain(400)
+    # A pendant vertex on the middle of the chain.
+    pendant = Graph(401, chain.edges() + [(200, 400)])
+    # A P4 on the first four vertices, buried at depth about 400.
+    deep = Graph(400, [e for e in chain.edges() if e[1] >= 4] + [(0, 1), (1, 2), (2, 3)])
+    for g in (pendant, deep):
+        with pytest.raises(NotACographError) as err:
+            build_cotree(g)
+        _assert_induced_p4(g, err.value.witness)

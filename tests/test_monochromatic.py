@@ -368,8 +368,13 @@ def _property_one_brute(t, col):
 
     def class_sizes(node):
         hist = {}
-        for v in t.subtree_vertices[node.index]:
-            hist[col[v]] = hist.get(col[v], 0) + 1
+        stack = [node]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, CotreeInner):
+                stack += [x.left, x.right]
+            else:
+                hist[col[x.vertex]] = hist.get(col[x.vertex], 0) + 1
         return hist
 
     for node in t.postorder:
