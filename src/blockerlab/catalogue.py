@@ -42,8 +42,8 @@ def graph_catalogue(clazz: str, n_max: int) -> Iterator[Graph]:
     """
     if clazz not in CATALOGUE_CLASSES:
         raise ValueError(f"unknown catalogue class {clazz!r}")
-    if n_max > 9:
-        raise ValueError("catalogue generation supports n_max <= 9")
+    if not 1 <= n_max <= 9:
+        raise ValueError("catalogue generation supports 1 <= n_max <= 9")
     yield from _catalogue_cached(clazz, n_max)
 
 

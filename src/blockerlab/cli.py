@@ -5,6 +5,9 @@ valid and 1 for no / invalid; every subcommand exits 2 on bad input, 3
 when an exhaustive routine refuses for capacity reasons and 4 on an internal
 error, so a crash never reads as a "no".  Reports follow
 ``docs/report_schema.json`` and re-validate with the ``verify`` subcommand.
+
+Each process runs one subcommand, so a solver that only one subcommand uses
+is imported inside that subcommand's handler: start-up loads only what runs.
 """
 
 from __future__ import annotations
@@ -17,16 +20,9 @@ import traceback
 from pathlib import Path
 
 from . import __version__
-from .bipartite_blocker import solve_bipartite_contraction_blocker
-from .catalogue import CATALOGUE_CLASSES, graph_catalogue
 from .cotree import cotree_sexpr, proper_colouring
 from .errors import BlockerlabError, CapacityExceededError, GraphFormatError
 from .graphio import format_graph, parse_graph, parse_mss_instance, parse_sat_instance
-from .monochromatic import (
-    min_mono_edges_deficiency,
-    min_mono_edges_fixed_h,
-    monochromatic_edge_set,
-)
 from .oracle import BlockerQuery, brute_blocker
 from .parameters import (
     ParameterValue,
@@ -39,7 +35,6 @@ from .parameters import (
     tau_from_alpha,
 )
 from .recognizers import NotInClass, recognize_bipartite, recognize_chordal, recognize_cograph
-from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
 from .report import (
     base_report,
     digest_bytes,
@@ -150,6 +145,8 @@ def _cmd_cotree(args) -> int:
 
 
 def _cmd_blocker(args) -> int:
+    from .bipartite_blocker import solve_bipartite_contraction_blocker
+
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
     outcome = solve_bipartite_contraction_blocker(g, args.k, args.d)
@@ -178,6 +175,12 @@ def _cmd_blocker(args) -> int:
 
 
 def _cmd_mono(args) -> int:
+    from .monochromatic import (
+        min_mono_edges_deficiency,
+        min_mono_edges_fixed_h,
+        monochromatic_edge_set,
+    )
+
     g, digest = _load_graph(args.graphfile)
     cert = recognize_cograph(g)
     if isinstance(cert, NotInClass):
@@ -240,6 +243,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
+
     data = _read(args.instancefile)
     text = data.decode()
     out: dict = {"schema_version": 1, "subcommand": "reduce", "construction": args.construction}
@@ -281,6 +286,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_catalogue(args) -> int:
+    from .catalogue import graph_catalogue
+
     graphs = list(graph_catalogue(args.klass, args.n))
     if args.outdir:
         outdir = Path(args.outdir)
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("catalogue", help="enumerate small connected graphs of a class")
-    p.add_argument("--class", dest="klass", required=True, choices=list(CATALOGUE_CLASSES))
+    p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=_cmd_catalogue)

@@ -1,4 +1,4 @@
-"""Text formats for graphs and reduction instances.
+"""Text formats for graphs and reduction instances, and the instance types.
 
 Graph files: a header line ``n m`` followed by ``m`` lines ``u v`` with
 0-based endpoints.  Lines starting with ``#`` and blank lines are ignored
@@ -13,13 +13,67 @@ positive integers.
 
 from __future__ import annotations
 
-from .errors import GraphFormatError
+from dataclasses import dataclass
+
+from .errors import GadgetPreconditionError, GraphFormatError
 from .graph import Graph
-from .reductions import MssInstance, SatInstance
 
 # Adjacency is one bitmask per vertex, allocated up front: refuse a header
 # that would allocate more than this many before any edge is read.
 MAX_VERTICES = 1_000_000
+
+
+@dataclass(frozen=True)
+class SatInstance:
+    """All-positive 2-clause CNF with a cap on the number of true variables."""
+
+    variable_count: int
+    clauses: tuple[tuple[int, int], ...]
+    k: int
+
+    def __post_init__(self):
+        if self.variable_count < 1:
+            raise GadgetPreconditionError("need at least one variable")
+        if self.k < 0:
+            raise GadgetPreconditionError("budget k must be non-negative")
+        seen = set()
+        for x, y in self.clauses:
+            if x == y:
+                raise GadgetPreconditionError("clauses must use two distinct variables")
+            if not (0 <= x < self.variable_count and 0 <= y < self.variable_count):
+                raise GadgetPreconditionError("clause variable out of range")
+            seen.add((min(x, y), max(x, y)))
+        if not seen:
+            raise GadgetPreconditionError("need at least one clause")
+
+    @classmethod
+    def make(cls, variable_count: int, clauses, k: int) -> "SatInstance":
+        """Normalise clause order and drop duplicates."""
+        dedup = sorted({(min(x, y), max(x, y)) for x, y in clauses})
+        return cls(variable_count, tuple(dedup), k)
+
+    def satisfied_by(self, positives) -> bool:
+        positives = set(positives)
+        return all(x in positives or y in positives for x, y in self.clauses)
+
+
+@dataclass(frozen=True)
+class MssInstance:
+    """Partition ``ell`` positive integers into ``h`` groups, bounding the
+    sum of squared group sums by ``J``."""
+
+    ell: int
+    a: tuple[int, ...]
+    h: int
+    J: int
+
+    def __post_init__(self):
+        if self.ell < 1 or len(self.a) != self.ell:
+            raise GadgetPreconditionError("tuple length must match ell >= 1")
+        if any(x < 1 for x in self.a):
+            raise GadgetPreconditionError("all entries must be positive")
+        if self.h < 1:
+            raise GadgetPreconditionError("h must be at least 1")
 
 
 def _payload_lines(text: str) -> list[list[str]]:
@@ -107,7 +161,7 @@ def parse_sat_instance(text: str) -> SatInstance:
         clauses.append((x - 1, y - 1))
     try:
         return SatInstance.make(nvars, clauses, k)
-    except Exception as exc:
+    except GadgetPreconditionError as exc:
         raise GraphFormatError(str(exc)) from exc
 
 
@@ -127,5 +181,5 @@ def parse_mss_instance(text: str) -> MssInstance:
         raise GraphFormatError(f"header promises {ell} entries, got {len(a)}")
     try:
         return MssInstance(ell, a, h, J)
-    except Exception as exc:
+    except GadgetPreconditionError as exc:
         raise GraphFormatError(str(exc)) from exc

@@ -34,6 +34,7 @@ from .graph import (
     validate_edge_set,
     validate_vertex_set,
 )
+from .graphio import MssInstance, SatInstance
 from .monochromatic import Colouring, recolour_module
 from .parameters import alpha_chordal, omega_exact
 from .recognizers import (
@@ -43,59 +44,6 @@ from .recognizers import (
     recognize_chordal,
     recognize_complete_multipartite,
 )
-
-
-@dataclass(frozen=True)
-class SatInstance:
-    """All-positive 2-clause CNF with a cap on the number of true variables."""
-
-    variable_count: int
-    clauses: tuple[tuple[int, int], ...]
-    k: int
-
-    def __post_init__(self):
-        if self.variable_count < 1:
-            raise GadgetPreconditionError("need at least one variable")
-        if self.k < 0:
-            raise GadgetPreconditionError("budget k must be non-negative")
-        seen = set()
-        for x, y in self.clauses:
-            if x == y:
-                raise GadgetPreconditionError("clauses must use two distinct variables")
-            if not (0 <= x < self.variable_count and 0 <= y < self.variable_count):
-                raise GadgetPreconditionError("clause variable out of range")
-            seen.add((min(x, y), max(x, y)))
-        if not seen:
-            raise GadgetPreconditionError("need at least one clause")
-
-    @classmethod
-    def make(cls, variable_count: int, clauses, k: int) -> "SatInstance":
-        """Normalise clause order and drop duplicates."""
-        dedup = sorted({(min(x, y), max(x, y)) for x, y in clauses})
-        return cls(variable_count, tuple(dedup), k)
-
-    def satisfied_by(self, positives) -> bool:
-        positives = set(positives)
-        return all(x in positives or y in positives for x, y in self.clauses)
-
-
-@dataclass(frozen=True)
-class MssInstance:
-    """Partition ``ell`` positive integers into ``h`` groups, bounding the
-    sum of squared group sums by ``J``."""
-
-    ell: int
-    a: tuple[int, ...]
-    h: int
-    J: int
-
-    def __post_init__(self):
-        if self.ell < 1 or len(self.a) != self.ell:
-            raise GadgetPreconditionError("tuple length must match ell >= 1")
-        if any(x < 1 for x in self.a):
-            raise GadgetPreconditionError("all entries must be positive")
-        if self.h < 1:
-            raise GadgetPreconditionError("h must be at least 1")
 
 
 @dataclass(frozen=True)

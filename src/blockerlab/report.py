@@ -66,6 +66,12 @@ def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -
 
 
 def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
+    if report["answer"] not in ("yes", "no"):
+        return False, f"answer must be 'yes' or 'no', got {report['answer']!r}"
+    for key, least in (("k", 0), ("d", 1)):
+        # bool is an int subclass, but not an integer in the JSON schema.
+        if type(report[key]) is not int or report[key] < least:
+            return False, f"{key} must be an integer >= {least}, got {report[key]!r}"
     parameter = report["parameter"]
     operation = report["operation"]
     before = parameter_value(g, parameter)

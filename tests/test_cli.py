@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +278,43 @@ def test_catalogue_stdout_and_outdir(capsys, tmp_path):
                    "--outdir", str(outdir))
     assert code == 0
     assert len(list(outdir.glob("*.graph"))) == 4
+
+
+def test_catalogue_bad_input_exit_code(capsys):
+    assert main(["catalogue", "--class", "cograph", "--n", "-1"]) == 2
+    assert "n_max" in capsys.readouterr().err
+    assert main(["catalogue", "--class", "bogus", "--n", "3"]) == 2
+    assert "unknown catalogue class" in capsys.readouterr().err
+
+
+SOLVER_MODULES = {"monochromatic", "reductions", "catalogue", "isomorphism", "bipartite_blocker"}
+
+
+def _modules_loaded_by(code):
+    """The blockerlab submodules a fresh interpreter holds after running code."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {m.removeprefix("blockerlab.") for m in loaded if m.startswith("blockerlab.")}
+
+
+def test_package_root_imports_no_submodule():
+    assert _modules_loaded_by("import blockerlab") == set()
+
+
+def test_light_subcommands_import_no_solver(capsys, tmp_path, p4_file, k4_file):
+    _, out = _run(capsys, "blocker", "-k", "2", "-d", "1", p4_file)
+    report = tmp_path / "blocker.json"
+    report.write_text(out)
+    for argv in (["cotree", k4_file], ["param", "--kind", "alpha", p4_file],
+                 ["oracle", "--op", "contract", "--param", "alpha", "-k", "2", "-d", "1", p4_file],
+                 ["verify", str(report), p4_file]):
+        loaded = _modules_loaded_by(f"from blockerlab.cli import main\nassert main({argv!r}) == 0")
+        assert "cli" in loaded
+        assert not loaded & SOLVER_MODULES, (argv[0], loaded)
 
 
 def test_capacity_exit_code(capsys, tmp_path, monkeypatch):

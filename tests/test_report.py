@@ -1,6 +1,6 @@
 import pytest
 
-from blockerlab.graph import complete_graph, cycle_graph
+from blockerlab.graph import complete_graph, cycle_graph, path_graph
 from blockerlab.graphio import format_graph
 from blockerlab.report import digest_bytes, verify_report
 
@@ -58,6 +58,39 @@ def test_no_answers_are_vacuously_valid(k4):
     report = _blocker_report(answer="no", witness=None, value_after=None)
     ok, _ = verify_report(report, k4)
     assert ok
+
+
+@pytest.mark.parametrize(
+    "overrides, complaint",
+    [
+        ({"answer": "maybe"}, "answer must be"),
+        ({"answer": None}, "answer must be"),
+        ({"d": 0, "witness": {"edges": []}, "value_after": None}, "d must be"),
+        ({"d": 1.5}, "d must be"),
+        ({"d": True}, "d must be"),
+        ({"k": -1}, "k must be"),
+        ({"k": "2"}, "k must be"),
+    ],
+    ids=["maybe", "null-answer", "d-zero", "d-float", "d-bool", "k-negative", "k-string"],
+)
+def test_blocker_report_outside_the_schema_rejected(overrides, complaint):
+    # P4 has alpha 2; contracting both end edges leaves one edge, alpha 1.
+    report = {
+        "subcommand": "blocker",
+        "operation": "contract",
+        "parameter": "alpha",
+        "k": 2,
+        "d": 1,
+        "answer": "yes",
+        "witness": {"edges": [[0, 1], [2, 3]]},
+        "value_before": 2,
+        "value_after": 1,
+    }
+    ok, detail = verify_report(report, path_graph(4))
+    assert ok, detail
+    report.update(overrides)
+    ok, detail = verify_report(report, path_graph(4))
+    assert not ok and complaint in detail
 
 
 def test_param_report_value_must_match(k4):
