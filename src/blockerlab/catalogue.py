@@ -2,14 +2,17 @@
 
 The per-class generators are constructive and complete at these sizes:
 
-* bipartite: every bipartition split and every cross-edge subset, deduplicated
-  up to isomorphism;
-* chordal: grown by attaching a new vertex to a non-empty clique (reverse
-  perfect elimination), which reaches every connected chordal graph;
+* bipartite, chordal and c3-free are grown one vertex at a time, after McKay
+  ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each graph
+  on n-1 vertices gets a new vertex joined to a non-empty attach set the class
+  allows (a subset of one side of the bipartition, a clique, an independent
+  set), and ``isomorphism.dedup_isomorphic`` keeps one graph per canonical
+  key.  Every connected graph has a non-cut vertex whose removal leaves a
+  connected class member, and a chordal graph a simplicial one, so this
+  reaches every member;
 * cograph: enumerated directly as canonical cotrees (join/union multisets),
   so no isomorphism search is needed;
-* complete multipartite: one graph per partition of n;
-* c3-free: full enumeration of labelled graphs filtered triangle-free.
+* complete multipartite: one graph per partition of n.
 
 Random generators take an explicit :class:`random.Random` so runs reproduce.
 """
@@ -24,6 +27,7 @@ from typing import Iterator
 from .cotree import Cotree, CotreeInner, CotreeLeaf, CotreeNode, realize_cotree
 from .graph import Graph, bits
 from .isomorphism import dedup_isomorphic
+from .recognizers import recognize_bipartite
 
 CATALOGUE_CLASSES = (
     "bipartite",
@@ -49,45 +53,38 @@ def graph_catalogue(clazz: str, n_max: int) -> Iterator[Graph]:
 
 @functools.lru_cache(maxsize=None)
 def _catalogue_cached(clazz: str, n_max: int) -> tuple[Graph, ...]:
-    gen = {
-        "bipartite": _bipartite_catalogue,
-        "chordal": _chordal_catalogue,
-        "cograph": _cograph_catalogue,
-        "complete-multipartite": _multipartite_catalogue,
-        "c3-free": _c3_free_catalogue,
+    if clazz == "cograph":
+        return tuple(_cograph_catalogue(n_max))
+    if clazz == "complete-multipartite":
+        return tuple(_multipartite_catalogue(n_max))
+    attach_sets = {
+        "bipartite": _one_side_subsets,
+        "chordal": _cliques,
+        "c3-free": lambda g: _cliques(g.complement()),
     }[clazz]
-    return tuple(gen(n_max))
+    return tuple(_grown_catalogue(n_max, attach_sets))
 
 
-def _bipartite_catalogue(n_max: int) -> Iterator[Graph]:
-    for n in range(1, n_max + 1):
-        found: list[Graph] = []
-        if n == 1:
-            yield Graph(1)
-            continue
-        for n1 in range(1, n // 2 + 1):
-            n2 = n - n1
-            slots = [(i, n1 + j) for i in range(n1) for j in range(n2)]
-            for picks in range(1 << len(slots)):
-                g = Graph(n, [slots[i] for i in bits(picks)])
-                if g.is_connected():
-                    found.append(g)
-        yield from dedup_isomorphic(found)
-
-
-def _chordal_catalogue(n_max: int) -> Iterator[Graph]:
+def _grown_catalogue(n_max: int, attach_sets) -> Iterator[Graph]:
+    """Grow level n from level n-1: join a new vertex to each non-empty
+    attach set, and keep the first graph of each isomorphism class."""
     level = [Graph(1)]
     yield from level
     for _ in range(1, n_max):
-        nxt: list[Graph] = []
-        for g in level:
-            for clique in _cliques(g):
-                if not clique:
-                    continue  # attaching to the empty clique disconnects
-                edges = g.edges() + [(v, g.n) for v in clique]
-                nxt.append(Graph(g.n + 1, edges))
-        level = dedup_isomorphic(nxt)
+        level = dedup_isomorphic(
+            Graph(g.n + 1, g.edges() + [(v, g.n) for v in s])
+            for g in level
+            for s in attach_sets(g)
+            if s
+        )
         yield from level
+
+
+def _one_side_subsets(g: Graph) -> Iterator[tuple[int, ...]]:
+    cert = recognize_bipartite(g)
+    for side in (sorted(cert.left), sorted(cert.right)):
+        for r in range(1, len(side) + 1):
+            yield from itertools.combinations(side, r)
 
 
 def _cliques(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -157,12 +154,6 @@ def _multisets(n: int, min_parts: int, kind: str) -> Iterator[tuple]:
     yield from rec(n, n - 1, (), 0)
 
 
-def _shape_size(shape: tuple) -> int:
-    if shape[0] == "leaf":
-        return 1
-    return sum(_shape_size(c) for c in shape[1])
-
-
 def _shape_to_cotree(shape: tuple) -> Cotree:
     counter = itertools.count()
 
@@ -209,23 +200,6 @@ def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]
     for first in range(min(n, max_part), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
-
-
-def _c3_free_catalogue(n_max: int) -> Iterator[Graph]:
-    if n_max > 6:
-        raise ValueError("c3-free catalogue enumerates labelled graphs; n_max <= 6")
-    for n in range(1, n_max + 1):
-        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        found = []
-        for picks in range(1 << len(slots)):
-            g = Graph(n, [slots[i] for i in bits(picks)])
-            if g.is_connected() and _triangle_free(g):
-                found.append(g)
-        yield from dedup_isomorphic(found)
-
-
-def _triangle_free(g: Graph) -> bool:
-    return all((g.adj[u] & g.adj[v]) == 0 for u, v in g.edges())
 
 
 # -- random generators --------------------------------------------------------

@@ -67,9 +67,6 @@ class Graph:
     def neighbours(self, v: int) -> list[int]:
         return list(bits(self._adj[v]))
 
-    def neighbours_mask(self, v: int) -> int:
-        return self._adj[v]
-
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
@@ -265,10 +262,6 @@ def contains_induced(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
 
 
 # -- small named graphs -------------------------------------------------------
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
 
 
 def path_graph(n: int) -> Graph:

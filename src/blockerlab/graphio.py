@@ -13,9 +13,10 @@ positive integers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .errors import GadgetPreconditionError, GraphFormatError
+from .errors import GadgetPreconditionError, GraphFormatError, InvalidEdgeError, InvalidVertexError
 from .graph import Graph
 
 # Adjacency is one bitmask per vertex, allocated up front: refuse a header
@@ -76,21 +77,21 @@ class MssInstance:
             raise GadgetPreconditionError("h must be at least 1")
 
 
-def _payload_lines(text: str) -> list[list[str]]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line.split())
-    return lines
+def _payload_lines(text: str) -> list[str]:
+    """The stripped lines of ``text``, without blanks and ``#`` comments."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+
+
+# A payload line of exactly two whitespace-separated fields: ``\s`` is the
+# whitespace that ``str.split`` splits on.
+_EDGE_LINE = re.compile(r"\S+\s+\S+")
 
 
 def parse_graph(text: str) -> Graph:
     lines = _payload_lines(text)
     if not lines:
         raise GraphFormatError("empty graph file")
-    header = lines[0]
+    header = lines[0].split()
     if len(header) != 2:
         raise GraphFormatError(f"expected header 'n m', got {' '.join(header)!r}")
     try:
@@ -104,9 +105,25 @@ def parse_graph(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"header promises {m} edges, file has {len(body)}")
+    # One bulk pass: ``Graph`` checks ranges and self-loops, the edge count
+    # catches duplicates.  A bad file is re-read line by line to name its
+    # first bad line.
+    try:
+        if all(map(_EDGE_LINE.fullmatch, body)):
+            ends = list(map(int, " ".join(body).split()))
+            g = Graph(n, zip(ends[0::2], ends[1::2]))
+            if g.edge_count() == m:
+                return g
+    except (ValueError, InvalidEdgeError, InvalidVertexError):
+        pass
+    return Graph(n, _checked_edges(body, n))
+
+
+def _checked_edges(body: list[str], n: int) -> list[tuple[int, int]]:
     edges = []
     seen = set()
-    for parts in body:
+    for line in body:
+        parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"bad edge line {' '.join(parts)!r}")
         try:
@@ -122,7 +139,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"duplicate edge {u} {v}")
         seen.add(key)
         edges.append(key)
-    return Graph(n, edges)
+    return edges
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
@@ -138,7 +155,7 @@ def parse_sat_instance(text: str) -> SatInstance:
     lines = _payload_lines(text)
     if not lines:
         raise GraphFormatError("empty instance file")
-    header = lines[0]
+    header = lines[0].split()
     if len(header) != 5 or header[0] != "p" or header[1] != "wp2sat":
         raise GraphFormatError("expected header 'p wp2sat <vars> <clauses> <k>'")
     try:
@@ -149,7 +166,8 @@ def parse_sat_instance(text: str) -> SatInstance:
     if len(body) != nclauses:
         raise GraphFormatError(f"header promises {nclauses} clauses, got {len(body)}")
     clauses = []
-    for parts in body:
+    for line in body:
+        parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"bad clause line {' '.join(parts)!r}")
         try:
@@ -169,12 +187,12 @@ def parse_mss_instance(text: str) -> MssInstance:
     lines = _payload_lines(text)
     if len(lines) != 2:
         raise GraphFormatError("expected a header line and one tuple line")
-    header = lines[0]
+    header = lines[0].split()
     if len(header) != 3:
         raise GraphFormatError("expected header '<ell> <h> <J>'")
     try:
         ell, h, J = (int(x) for x in header)
-        a = tuple(int(x) for x in lines[1])
+        a = tuple(int(x) for x in lines[1].split())
     except ValueError as exc:
         raise GraphFormatError(f"bad instance: {exc}") from exc
     if len(a) != ell:

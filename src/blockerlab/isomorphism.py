@@ -1,8 +1,13 @@
-"""Isomorphism testing and deduplication for small graphs (n <= ~10).
+"""Canonical keys for small graphs: isomorphism tests and deduplication.
 
-Colour refinement gives a cheap isomorphism-invariant key; exact checks run a
-refinement-guided backtracking search.  This is all the catalogue generators
-need at desk scale.
+``invariant_key`` is a complete invariant, after McKay and Piperno
+("Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014): refine an
+ordered partition of the vertices, individualise each vertex of the first
+smallest non-singleton cell in turn, and refine again down to discrete
+partitions.  Each leaf orders the vertices; the key is the least relabelled
+edge tuple.  A twin (same open or closed neighbourhood) of a vertex already
+tried in the cell is skipped: swapping the two is an automorphism fixing
+every individualised vertex, so both subtrees give the same leaves.
 """
 
 from __future__ import annotations
@@ -12,80 +17,66 @@ from typing import Iterable
 from .graph import Graph, bits
 
 
-def _refine(g: Graph) -> tuple[int, ...]:
-    """Stable colour refinement; returns the final colour of every vertex.
+def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Split cells (vertex bitmasks) until all vertices of a cell have the
+    same number of neighbours in each cell; fragments are ordered by those
+    counts, so the result commutes with relabelling."""
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            split: dict[tuple[int, ...], int] = {}
+            for v in bits(cell):
+                sig = tuple((adj[v] & c).bit_count() for c in cells)
+                split[sig] = split.get(sig, 0) | 1 << v
+            out.extend(split[sig] for sig in sorted(split))
+        if len(out) == len(cells):
+            return out
+        cells = out
 
-    New colour ids are ranks of sorted signatures, so corresponding vertices
-    of isomorphic graphs end up with identical numeric colours.
-    """
-    colours = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        signatures = [
-            (colours[v], tuple(sorted(colours[w] for w in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        relabel = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-        new = [relabel[sig] for sig in signatures]
-        if new == colours:
-            break
-        colours = new
-    return tuple(colours)
 
-
-def invariant_key(g: Graph):
-    """A hashable isomorphism invariant used to bucket candidate graphs."""
-    colours = _refine(g)
-    return (g.n, g.edge_count(), tuple(sorted(colours)))
+def invariant_key(g: Graph) -> tuple:
+    """The canonical key of ``g``: its vertex count and least edge tuple."""
+    adj = g.adj
+    edges = g.edges()
+    best = None
+    stack = [_refine(adj, [(1 << g.n) - 1] if g.n else [])]
+    while stack:
+        cells = stack.pop()
+        target = min((c for c in cells if c & (c - 1)), key=int.bit_count, default=0)
+        if not target:
+            pos = [0] * g.n
+            for i, c in enumerate(cells):
+                pos[c.bit_length() - 1] = i
+            leaf = tuple(sorted(
+                (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges
+            ))
+            if best is None or leaf < best:
+                best = leaf
+            continue
+        at = cells.index(target)
+        tried: list[int] = []
+        for v in bits(target):
+            if any(adj[v] & ~(1 << u) == adj[u] & ~(1 << v) for u in tried):
+                continue
+            tried.append(v)
+            stack.append(_refine(adj, cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1:]))
+    return (g.n, best)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    cg, ch = _refine(g), _refine(h)
-    if sorted(cg) != sorted(ch):
-        return False
-
-    # Map g-vertices in order of rarest refinement colour first.
-    freq: dict[int, int] = {}
-    for c in cg:
-        freq[c] = freq.get(c, 0) + 1
-    order = sorted(range(g.n), key=lambda v: (freq[cg[v]], cg[v], v))
-    image = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        u = order[i]
-        for v in range(h.n):
-            if used[v] or ch[v] != cg[u]:
-                continue
-            ok = True
-            for j in range(i):
-                w = order[j]
-                if g.has_edge(u, w) != h.has_edge(v, image[w]):
-                    ok = False
-                    break
-            if ok:
-                image[u] = v
-                used[v] = True
-                if extend(i + 1):
-                    return True
-                used[v] = False
-                image[u] = -1
-        return False
-
-    return extend(0)
+    return invariant_key(g) == invariant_key(h)
 
 
 def dedup_isomorphic(graphs: Iterable[Graph]) -> list[Graph]:
-    """Keep one representative per isomorphism class, in input order."""
-    buckets: dict = {}
+    """Keep the first graph of each isomorphism class, in input order."""
+    seen = set()
     out = []
     for g in graphs:
         key = invariant_key(g)
-        reps = buckets.setdefault(key, [])
-        if not any(are_isomorphic(g, r) for r in reps):
-            reps.append(g)
+        if key not in seen:
+            seen.add(key)
             out.append(g)
     return out

@@ -65,13 +65,21 @@ def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -
     return False, f"no verifier for subcommand {sub!r}"
 
 
+def _integer_complaint(report: dict, *fields: tuple[str, int]) -> Optional[str]:
+    """Name the first ``(key, least)`` field that is not an integer >= least."""
+    for key, least in fields:
+        # bool is an int subclass, but not an integer in the JSON schema.
+        if type(report[key]) is not int or report[key] < least:
+            return f"{key} must be an integer >= {least}, got {report[key]!r}"
+    return None
+
+
 def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
     if report["answer"] not in ("yes", "no"):
         return False, f"answer must be 'yes' or 'no', got {report['answer']!r}"
-    for key, least in (("k", 0), ("d", 1)):
-        # bool is an int subclass, but not an integer in the JSON schema.
-        if type(report[key]) is not int or report[key] < least:
-            return False, f"{key} must be an integer >= {least}, got {report[key]!r}"
+    complaint = _integer_complaint(report, ("k", 0), ("d", 1))
+    if complaint:
+        return False, complaint
     parameter = report["parameter"]
     operation = report["operation"]
     before = parameter_value(g, parameter)
@@ -96,6 +104,9 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
 
 
 def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
+    complaint = _integer_complaint(report, ("value", 0))
+    if complaint:
+        return False, complaint
     kind = report["kind"]
     value = report["value"]
     witness = report["witness"]
@@ -123,10 +134,18 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
 
 
 def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
+    mode = report["mode"]
+    if mode not in ("fixed-h", "deficiency"):
+        return False, f"mode must be 'fixed-h' or 'deficiency', got {mode!r}"
+    complaint = _integer_complaint(
+        report, ("h", 1) if mode == "fixed-h" else ("d", 0), ("min_mono_edges", 0)
+    )
+    if complaint:
+        return False, complaint
     colouring = tuple(report["colouring"])
     if len(colouring) != g.n:
         return False, "colouring does not cover the vertex set"
-    if report["mode"] == "fixed-h":
+    if mode == "fixed-h":
         limit = report["h"]
     else:
         chi = _cograph_chi(g)

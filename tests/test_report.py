@@ -144,3 +144,53 @@ def test_mu_report_on_non_bipartite_graph_is_refused_explicitly():
     report.update(value=2, witness={"edges": [[0, 1], [2, 3]]})
     ok, detail = verify_report(report, cycle_graph(4))
     assert ok, detail
+
+
+def _mono_report(**overrides):
+    # K4 with 3 colours: one pair shares a colour, one monochromatic edge.
+    report = {
+        "subcommand": "mono",
+        "mode": "deficiency",
+        "d": 1,
+        "chi": 4,
+        "min_mono_edges": 1,
+        "colouring": [1, 1, 2, 3],
+        "deleted_edges": [[0, 1]],
+    }
+    report.update(overrides)
+    return report
+
+
+@pytest.mark.parametrize(
+    "overrides, complaint",
+    [
+        ({"mode": "bogus"}, "mode must be"),
+        ({"mode": None}, "mode must be"),
+        ({"d": -1}, "d must be"),
+        ({"d": 0.5}, "d must be"),
+        ({"d": False}, "d must be"),
+        ({"mode": "fixed-h", "h": 3.5}, "h must be"),
+        ({"mode": "fixed-h", "h": 0}, "h must be"),
+        ({"mode": "fixed-h", "h": True}, "h must be"),
+        ({"min_mono_edges": True}, "min_mono_edges must be"),
+    ],
+    ids=["bogus-mode", "null-mode", "d-negative", "d-float", "d-bool",
+         "h-float", "h-zero", "h-bool", "count-bool"],
+)
+def test_mono_report_outside_the_schema_rejected(k4, overrides, complaint):
+    ok, detail = verify_report(_mono_report(), k4)
+    assert ok, detail
+    ok, detail = verify_report(_mono_report(mode="fixed-h", h=3), k4)
+    assert ok, detail
+    ok, detail = verify_report(_mono_report(**overrides), k4)
+    assert not ok and complaint in detail
+
+
+@pytest.mark.parametrize("value", [True, -1, 1.0, "1", None], ids=["bool", "negative", "float", "string", "null"])
+def test_param_report_value_outside_the_schema_rejected(k4, value):
+    report = {"subcommand": "param", "kind": "alpha", "value": 1, "witness": {"vertices": [0]}}
+    ok, detail = verify_report(report, k4)
+    assert ok, detail
+    report["value"] = value
+    ok, detail = verify_report(report, k4)
+    assert not ok and "value must be" in detail
