@@ -179,10 +179,12 @@ def test_catalogue_counts_match_published_sequences():
             by_n[g.n] = by_n.get(g.n, 0) + 1
         return [by_n.get(n, 0) for n in range(1, n_max + 1)]
 
-    assert counts("bipartite", 7) == [1, 1, 1, 3, 5, 17, 44]
-    assert counts("chordal", 7) == [1, 1, 2, 5, 15, 58, 272]
+    # Connected graphs: bipartite OEIS A005142, chordal A048193, cographs
+    # A000669, triangle-free A024607.
+    assert counts("bipartite", 8) == [1, 1, 1, 3, 5, 17, 44, 182]
+    assert counts("chordal", 8) == [1, 1, 2, 5, 15, 58, 272, 1614]
     assert counts("cograph", 8) == [1, 1, 2, 5, 12, 33, 90, 261]
-    assert counts("c3-free", 6) == [1, 1, 1, 3, 6, 19]
+    assert counts("c3-free", 8) == [1, 1, 1, 3, 6, 19, 59, 267]
     assert counts("complete-multipartite", 6) == [1, 1, 2, 4, 6, 10]
 
 
