@@ -16,27 +16,24 @@ The solver dispatches on instance shape:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import CapacityExceededError, CertificateError
+from .errors import CapacityExceededError, CertificateError, configured_budget
 from .graph import Edge, Graph, bits, contract_edges, induced_subgraph, validate_edge_set
-from .oracle import BlockerQuery, _subset_count, brute_blocker, configured_budget
+from .oracle import BlockerQuery, _subset_count, brute_blocker
 from .parameters import alpha_bipartite, mu_bipartite
 from .recognizers import Bipartition, NotInClass, recognize_bipartite
 
 MAX_SUPPORTED_D = 3
 
 
-@dataclass(frozen=True)
-class ContractionWitness:
+class ContractionWitness(NamedTuple):
     edges: frozenset[Edge]
     claimed_alpha_after: int
 
 
-@dataclass(frozen=True)
-class BlockerOutcome:
+class BlockerOutcome(NamedTuple):
     answer: bool
     witness: Optional[ContractionWitness]
     alpha_before: int

@@ -6,8 +6,10 @@ when an exhaustive routine refuses for capacity reasons and 4 on an internal
 error, so a crash never reads as a "no".  Reports follow
 ``docs/report_schema.json`` and re-validate with the ``verify`` subcommand.
 
-Each process runs one subcommand, so a solver that only one subcommand uses
-is imported inside that subcommand's handler: start-up loads only what runs.
+Each process runs one subcommand and most of its time is start-up, so this
+module loads only ``errors`` and ``graphio`` from the package.  Each handler
+imports the solvers, recognisers and report helpers it runs, and
+``traceback`` is imported only to print an internal error.
 """
 
 from __future__ import annotations
@@ -16,33 +18,11 @@ import argparse
 import json
 import sys
 import time
-import traceback
 from pathlib import Path
 
 from . import __version__
-from .cotree import cotree_sexpr, proper_colouring
 from .errors import BlockerlabError, CapacityExceededError, GraphFormatError
 from .graphio import format_graph, parse_graph, parse_mss_instance, parse_sat_instance
-from .oracle import BlockerQuery, brute_blocker
-from .parameters import (
-    ParameterValue,
-    alpha_bipartite,
-    alpha_chordal,
-    alpha_exact,
-    chi_exact,
-    mu_bipartite,
-    omega_exact,
-    tau_from_alpha,
-)
-from .recognizers import NotInClass, recognize_bipartite, recognize_chordal, recognize_cograph
-from .report import (
-    base_report,
-    digest_bytes,
-    edges_payload,
-    load_report,
-    verify_report,
-    vertices_payload,
-)
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -56,6 +36,8 @@ def _read(path: str) -> bytes:
 
 
 def _load_graph(path: str):
+    from .report import digest_bytes
+
     data = _read(path)
     return parse_graph(data.decode()), digest_bytes(data)
 
@@ -65,20 +47,31 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _tau(alpha_solver):
-    return lambda g, *cert: tau_from_alpha(g, alpha_solver(g, *cert))
-
-
-def _chi_cograph(g, cert):
-    return ParameterValue("chi", cert.cotree.chi, proper_colouring(cert.cotree))
-
-
 def _cmd_param(args) -> int:
+    from .cotree import proper_colouring
+    from .parameters import (
+        ParameterValue,
+        alpha_bipartite,
+        alpha_chordal,
+        alpha_exact,
+        chi_exact,
+        mu_bipartite,
+        omega_exact,
+        tau_from_alpha,
+    )
+    from .recognizers import NotInClass, recognize_bipartite, recognize_chordal, recognize_cograph
+    from .report import base_report, edges_payload, vertices_payload
+
+    def tau(alpha_solver):
+        return lambda g, *cert: tau_from_alpha(g, alpha_solver(g, *cert))
+
+    def chi_cograph(g, cert):
+        return ParameterValue("chi", cert.cotree.chi, proper_colouring(cert.cotree))
+
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
     kind = args.kind
-    # The dispatch table.  It is built per call so that every name resolves
-    # when it runs: perfbench's tracer rebinds module attributes.
+    # The dispatch table is local to the handler, like the imports it names.
     recognisers = {
         "bipartite": recognize_bipartite,
         "chordal": recognize_chordal,
@@ -91,10 +84,10 @@ def _cmd_param(args) -> int:
     routes, fallback = {
         "alpha": ((("bipartite", alpha_bipartite), ("chordal", alpha_chordal)), alpha_exact),
         "tau": (
-            (("bipartite", _tau(alpha_bipartite)), ("chordal", _tau(alpha_chordal))),
-            _tau(alpha_exact),
+            (("bipartite", tau(alpha_bipartite)), ("chordal", tau(alpha_chordal))),
+            tau(alpha_exact),
         ),
-        "chi": ((("cograph", _chi_cograph),), chi_exact),
+        "chi": ((("cograph", chi_cograph),), chi_exact),
         "mu": ((("bipartite", mu_bipartite),), None),
         "omega": ((), omega_exact),
     }[kind]
@@ -136,7 +129,10 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_cotree(args) -> int:
-    g, _ = _load_graph(args.graphfile)
+    from .cotree import cotree_sexpr
+    from .recognizers import NotInClass, recognize_cograph
+
+    g = parse_graph(_read(args.graphfile).decode())
     cert = recognize_cograph(g)
     if isinstance(cert, NotInClass):
         raise GraphFormatError(f"graph is not a cograph: induced P4 on {cert.witness}")
@@ -146,6 +142,7 @@ def _cmd_cotree(args) -> int:
 
 def _cmd_blocker(args) -> int:
     from .bipartite_blocker import solve_bipartite_contraction_blocker
+    from .report import base_report, edges_payload
 
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
@@ -180,6 +177,8 @@ def _cmd_mono(args) -> int:
         min_mono_edges_fixed_h,
         monochromatic_edge_set,
     )
+    from .recognizers import NotInClass, recognize_cograph
+    from .report import base_report, edges_payload
 
     g, digest = _load_graph(args.graphfile)
     cert = recognize_cograph(g)
@@ -214,6 +213,9 @@ def _cmd_mono(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import BlockerQuery, brute_blocker
+    from .report import base_report, edges_payload, vertices_payload
+
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
     query = BlockerQuery(g, args.op, args.param, args.k, args.d)
@@ -304,6 +306,8 @@ def _cmd_catalogue(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .report import load_report, verify_report
+
     report = load_report(_read(args.reportfile).decode())
     data = _read(args.graphfile)
     g = parse_graph(data.decode())
@@ -393,6 +397,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:
+        import traceback
+
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

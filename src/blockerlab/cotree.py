@@ -15,8 +15,7 @@ vertices) build, print and parse under the default recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import CertificateError, NotACographError
 from .graph import Graph, bits
@@ -51,8 +50,7 @@ class CotreeInner:
 CotreeNode = Union[CotreeLeaf, CotreeInner]
 
 
-@dataclass(frozen=True)
-class NodeStats:
+class NodeStats(NamedTuple):
     """Subtree size and chromatic number, indexed by postorder node index."""
 
     size: tuple[int, ...]

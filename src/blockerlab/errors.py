@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work budget they enforce."""
+
+import os
+
+DEFAULT_BUDGET = 10_000_000
+BUDGET_ENV_VAR = "BLOCKERLAB_BUDGET"
 
 
 class BlockerlabError(Exception):
@@ -50,3 +55,11 @@ class CapacityExceededError(BlockerlabError):
         super().__init__(message)
         self.needed = needed
         self.budget = budget
+
+
+def configured_budget(budget: int | None = None) -> int:
+    """The work budget: ``budget`` if given, else ``$BLOCKERLAB_BUDGET``, else the default."""
+    if budget is not None:
+        return budget
+    env = os.environ.get(BUDGET_ENV_VAR)
+    return int(env) if env else DEFAULT_BUDGET

@@ -14,7 +14,7 @@ positive integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GadgetPreconditionError, GraphFormatError, InvalidEdgeError, InvalidVertexError
 from .graph import Graph
@@ -24,15 +24,16 @@ from .graph import Graph
 MAX_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True)
-class SatInstance:
+# A NamedTuple body cannot define __new__, so a validating record subclasses one.
+class SatInstance(NamedTuple("SatInstance", [
+        ("variable_count", int), ("clauses", tuple[tuple[int, int], ...]), ("k", int)])):
     """All-positive 2-clause CNF with a cap on the number of true variables."""
 
-    variable_count: int
-    clauses: tuple[tuple[int, int], ...]
-    k: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.variable_count < 1:
             raise GadgetPreconditionError("need at least one variable")
         if self.k < 0:
@@ -46,6 +47,7 @@ class SatInstance:
             seen.add((min(x, y), max(x, y)))
         if not seen:
             raise GadgetPreconditionError("need at least one clause")
+        return self
 
     @classmethod
     def make(cls, variable_count: int, clauses, k: int) -> "SatInstance":
@@ -58,23 +60,23 @@ class SatInstance:
         return all(x in positives or y in positives for x, y in self.clauses)
 
 
-@dataclass(frozen=True)
-class MssInstance:
+class MssInstance(NamedTuple("MssInstance", [
+        ("ell", int), ("a", tuple[int, ...]), ("h", int), ("J", int)])):
     """Partition ``ell`` positive integers into ``h`` groups, bounding the
     sum of squared group sums by ``J``."""
 
-    ell: int
-    a: tuple[int, ...]
-    h: int
-    J: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.ell < 1 or len(self.a) != self.ell:
             raise GadgetPreconditionError("tuple length must match ell >= 1")
         if any(x < 1 for x in self.a):
             raise GadgetPreconditionError("all entries must be positive")
         if self.h < 1:
             raise GadgetPreconditionError("h must be at least 1")
+        return self
 
 
 def _payload_lines(text: str) -> list[str]:

@@ -32,9 +32,8 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .cotree import Cotree, CotreeLeaf, proper_colouring
-from .errors import CapacityExceededError, CertificateError
+from .errors import CapacityExceededError, CertificateError, configured_budget
 from .graph import Edge, Graph, bits
-from .oracle import configured_budget
 
 Colouring = tuple[int, ...]
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import CapacityExceededError
+from .errors import CapacityExceededError, configured_budget
 from .graph import (
     Graph,
     contract_edges,
@@ -23,9 +21,6 @@ from .graph import (
     validate_edge_set,
 )
 from .parameters import alpha_exact, chi_exact, omega_exact
-
-DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "BLOCKERLAB_BUDGET"
 
 OPERATIONS = ("contract", "delete-vertices", "delete-edges")
 PARAMETERS = ("alpha", "omega", "chi")
@@ -42,15 +37,14 @@ _MONOTONE = {
 }
 
 
-@dataclass(frozen=True)
-class BlockerQuery:
-    graph: Graph
-    operation: str  # contract | delete-vertices | delete-edges
-    parameter: str  # alpha | omega | chi
-    k: int
-    d: int
+# A NamedTuple body cannot define __new__, so a validating record subclasses one.
+class BlockerQuery(NamedTuple("BlockerQuery", [
+        ("graph", Graph), ("operation", str), ("parameter", str), ("k", int), ("d", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.operation not in OPERATIONS:
             raise ValueError(f"unknown operation {self.operation!r}")
         if self.parameter not in PARAMETERS:
@@ -59,22 +53,15 @@ class BlockerQuery:
             raise ValueError("k must be non-negative")
         if self.d < 1:
             raise ValueError("d must be at least 1")
+        return self
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
+class OracleAnswer(NamedTuple):
     answer: bool
     witness: Optional[frozenset]
     minimal: bool
     value_before: int
     value_after: Optional[int]
-
-
-def configured_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
 
 
 def parameter_value(g: Graph, parameter: str) -> int:

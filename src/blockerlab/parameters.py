@@ -10,8 +10,7 @@ cross-checked against the exact solvers in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import CapacityExceededError, CertificateError
 from .graph import Edge, Graph, bits
@@ -26,8 +25,7 @@ ALPHA_OMEGA_VERTEX_CEILING = 40
 CHI_VERTEX_CEILING = 20
 
 
-@dataclass(frozen=True)
-class ParameterValue:
+class ParameterValue(NamedTuple):
     kind: str  # alpha | omega | chi | mu | tau
     value: int
     witness: Union[frozenset[int], frozenset[Edge], tuple[int, ...]]

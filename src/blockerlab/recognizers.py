@@ -11,46 +11,35 @@ P2+P1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .cotree import Cotree, build_cotree
 from .errors import CertificateError, NotACographError
 from .graph import Graph, bits, contains_induced, disjoint_union, path_graph
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     left: frozenset[int]
     right: frozenset[int]
 
 
-@dataclass(frozen=True)
-class EliminationOrder:
+class EliminationOrder(NamedTuple):
     """A perfect elimination order: each vertex's later neighbours are a clique."""
 
     order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CotreeCertificate:
+class CotreeCertificate(NamedTuple):
     cotree: Cotree
 
 
-@dataclass(frozen=True)
-class MultipartiteParts:
+class MultipartiteParts(NamedTuple):
     parts: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class NotInClass:
+class NotInClass(NamedTuple):
     reason: str
     witness: tuple[int, ...]
-
-
-ClassCertificate = Union[
-    Bipartition, EliminationOrder, CotreeCertificate, MultipartiteParts, NotInClass
-]
 
 
 def recognize_bipartite(g: Graph) -> Union[Bipartition, NotInClass]:

@@ -17,9 +17,8 @@ document, so every output is certified rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, CriticalityError, GadgetPreconditionError
 from .graph import (
@@ -46,28 +45,24 @@ from .recognizers import (
 )
 
 
-@dataclass(frozen=True)
-class VcGadgetMap:
+class VcGadgetMap(NamedTuple):
     universal_vertex: int
     base_vertex_count: int
 
 
-@dataclass(frozen=True)
-class ChordalGadgetMap:
+class ChordalGadgetMap(NamedTuple):
     var_vertex: tuple[int, ...]  # v_x per variable
     var_clique: tuple[tuple[int, ...], ...]  # K_x per variable, 2k+1 vertices
     clause_vertex: tuple[int, ...]  # one per clause, forming a clique
     instance: SatInstance
 
 
-@dataclass(frozen=True)
-class MssGadgetMap:
+class MssGadgetMap(NamedTuple):
     parts: tuple[tuple[int, ...], ...]
     instance: MssInstance
 
 
-@dataclass(frozen=True)
-class MssTarget:
+class MssTarget(NamedTuple):
     exact: Fraction  # J/2 - D, may be non-integral
     budget: int  # floor of the exact target; equivalent for integer counts
 

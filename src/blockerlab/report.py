@@ -4,7 +4,8 @@ Every answering subcommand emits a JSON report (schema in
 ``docs/report_schema.json``).  :func:`verify_report` recomputes the claim
 from the witness using only the graph operations and the exact parameter
 solvers, so a verified yes answer does not depend on the solver that
-produced it.
+produced it.  Each verifier imports those solvers itself, so a process that
+only writes a report loads none of them.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ import hashlib
 import json
 from typing import Optional
 
-from .cotree import CotreeLeaf, build_cotree, proper_colouring
 from .errors import CertificateError
 from .graph import Graph
-from .oracle import apply_operation, parameter_value
-from .parameters import ParameterValue, validate_witness
-from .recognizers import NotInClass, recognize_bipartite
 
 SCHEMA_VERSION = 1
 
@@ -75,9 +72,13 @@ def _integer_complaint(report: dict, *fields: tuple[str, int]) -> Optional[str]:
 
 
 def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
+    from .oracle import apply_operation, parameter_value
+
     if report["answer"] not in ("yes", "no"):
         return False, f"answer must be 'yes' or 'no', got {report['answer']!r}"
-    complaint = _integer_complaint(report, ("k", 0), ("d", 1))
+    # The compared values may be null, but never a bool or a float: True == 1.
+    nullable = [(key, 0) for key in ("value_before", "value_after") if report.get(key) is not None]
+    complaint = _integer_complaint(report, ("k", 0), ("d", 1), *nullable)
     if complaint:
         return False, complaint
     parameter = report["parameter"]
@@ -104,6 +105,10 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
 
 
 def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
+    from .oracle import parameter_value
+    from .parameters import ParameterValue, validate_witness
+    from .recognizers import NotInClass, recognize_bipartite
+
     complaint = _integer_complaint(report, ("value", 0))
     if complaint:
         return False, complaint
@@ -137,8 +142,9 @@ def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
     mode = report["mode"]
     if mode not in ("fixed-h", "deficiency"):
         return False, f"mode must be 'fixed-h' or 'deficiency', got {mode!r}"
+    nullable = [("chi", 1)] if report.get("chi") is not None else []
     complaint = _integer_complaint(
-        report, ("h", 1) if mode == "fixed-h" else ("d", 0), ("min_mono_edges", 0)
+        report, ("h", 1) if mode == "fixed-h" else ("d", 0), ("min_mono_edges", 0), *nullable
     )
     if complaint:
         return False, complaint
@@ -174,6 +180,9 @@ def _cograph_chi(g: Graph) -> int:
     both children's together at a join.  Cographs are perfect, so the
     cotree's proper colouring uses exactly that many colours.
     """
+    from .cotree import CotreeLeaf, build_cotree, proper_colouring
+    from .parameters import ParameterValue, validate_witness
+
     t = build_cotree(g)
     cliques: list[tuple[int, ...]] = [()] * len(t.postorder)
     for node in t.postorder:

@@ -10,6 +10,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from blockerlab.bipartite_blocker import solve_bipartite_contraction_blocker
 from blockerlab.catalogue import graph_catalogue, random_connected_bipartite, random_graph
 from blockerlab.cotree import build_cotree
@@ -82,7 +84,16 @@ def _announce(number, name):
 
 @_announce(1, "bipartite contraction blocker agrees with the oracle (n<=8, all k, d in 1..2)")
 def test_criterion_01_bipartite_blocker_agreement():
-    for g in graph_catalogue("bipartite", 8):
+    _check_blocker_agrees_with_oracle(graph_catalogue("bipartite", 8))
+
+
+@pytest.mark.slow
+def test_criterion_01_one_size_further():
+    _check_blocker_agrees_with_oracle(g for g in graph_catalogue("bipartite", 9) if g.n == 9)
+
+
+def _check_blocker_agrees_with_oracle(graphs):
+    for g in graphs:
         if g.n < 2:
             continue
         m = g.edge_count()
@@ -243,17 +254,7 @@ def _all_sat_instances(max_vars=3, max_clauses=3, max_k=2):
 @_announce(7, "all three gadget equivalences hold on exhaustive small instances")
 def test_criterion_07_reduction_equivalences():
     # (a) cover <=> clique-number contraction blocking on triangle-free inputs
-    for base in graph_catalogue("c3-free", 6):
-        if base.edge_count() == 0:
-            continue
-        gadget, _ = build_vc_gadget(base, base.n)
-        tau = min(
-            bin(mask).count("1")
-            for mask in range(1 << base.n)
-            if all(mask >> u & 1 or mask >> v & 1 for u, v in base.edges())
-        )
-        mstar = min_critical_size(gadget, "contract", "omega", 1)
-        assert mstar == tau
+    _check_cover_equals_contraction_blocking(graph_catalogue("c3-free", 6))
     # (b) budgeted satisfiability <=> contraction <=> deletion on the gadget
     for sat in _all_sat_instances():
         g, _ = build_chordal_gadget(sat)
@@ -279,6 +280,20 @@ def test_criterion_07_reduction_equivalences():
                     assert (Fraction(mono) <= target.exact) == expect
 
 
+def _check_cover_equals_contraction_blocking(bases):
+    for base in bases:
+        if base.edge_count() == 0:
+            continue
+        gadget, _ = build_vc_gadget(base, base.n)
+        tau = min(
+            bin(mask).count("1")
+            for mask in range(1 << base.n)
+            if all(mask >> u & 1 or mask >> v & 1 for u, v in base.edges())
+        )
+        mstar = min_critical_size(gadget, "contract", "omega", 1)
+        assert mstar == tau
+
+
 def _ascending_compositions(total, minimum=1):
     if total == 0:
         yield ()
@@ -290,15 +305,7 @@ def _ascending_compositions(total, minimum=1):
 
 @_announce(8, "gadget structure: forbidden subgraphs, parameters, vertex counts")
 def test_criterion_08_gadget_postconditions():
-    from blockerlab.graph import complete_graph, contains_induced, disjoint_union
-
-    c3p1 = disjoint_union(complete_graph(3), Graph(1))
-    for base in graph_catalogue("c3-free", 5):
-        if base.edge_count() == 0:
-            continue
-        gadget, gm = build_vc_gadget(base, 2)
-        assert contains_induced(gadget, c3p1) is None
-        assert omega_exact(gadget).value == 3
+    _check_vc_gadget_structure(graph_catalogue("c3-free", 5))
     for sat in itertools.islice(_all_sat_instances(), 30):
         gadget, _ = build_chordal_gadget(sat)
         cert = recognize_chordal(gadget)
@@ -317,6 +324,24 @@ def test_criterion_08_gadget_postconditions():
         cert = recognize_chordal(gadget)
         assert alpha_chordal(gadget, cert).value == 5
         assert alpha_exact(gadget).value == 5
+
+
+@pytest.mark.slow
+def test_criteria_07_and_08_vc_gadget_one_size_further():
+    _check_cover_equals_contraction_blocking(g for g in graph_catalogue("c3-free", 7) if g.n == 7)
+    _check_vc_gadget_structure(g for g in graph_catalogue("c3-free", 6) if g.n == 6)
+
+
+def _check_vc_gadget_structure(bases):
+    from blockerlab.graph import complete_graph, contains_induced, disjoint_union
+
+    c3p1 = disjoint_union(complete_graph(3), Graph(1))
+    for base in bases:
+        if base.edge_count() == 0:
+            continue
+        gadget, gm = build_vc_gadget(base, 2)
+        assert contains_induced(gadget, c3p1) is None
+        assert omega_exact(gadget).value == 3
 
 
 @_announce(9, "inclusion-minimal alpha-critical contraction sets induce forests (300 graphs)")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blockerlab import cli
+from blockerlab import cli, recognizers
 from blockerlab.cli import main
 from blockerlab.cotree import parse_cotree_sexpr, realize_cotree
 from blockerlab.graph import (
@@ -289,32 +289,51 @@ def test_catalogue_bad_input_exit_code(capsys):
 
 SOLVER_MODULES = {"monochromatic", "reductions", "catalogue", "isomorphism", "bipartite_blocker"}
 
+# Importing dataclasses pulls in inspect, ast, dis and tokenize, and each
+# frozen dataclass then costs about 1.5 ms to define.  A short-lived process
+# loads none of them, nor traceback, which only an internal error needs.
+NEVER_LOADED = {"dataclasses", "inspect", "traceback"}
+
 
 def _modules_loaded_by(code):
-    """The blockerlab submodules a fresh interpreter holds after running code."""
+    """The modules a fresh interpreter holds after running code, by full name."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     probe = f"{code}\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _package_part(loaded):
     return {m.removeprefix("blockerlab.") for m in loaded if m.startswith("blockerlab.")}
 
 
 def test_package_root_imports_no_submodule():
-    assert _modules_loaded_by("import blockerlab") == set()
+    assert _package_part(_modules_loaded_by("import blockerlab")) == set()
 
 
 def test_light_subcommands_import_no_solver(capsys, tmp_path, p4_file, k4_file):
     _, out = _run(capsys, "blocker", "-k", "2", "-d", "1", p4_file)
     report = tmp_path / "blocker.json"
     report.write_text(out)
-    for argv in (["cotree", k4_file], ["param", "--kind", "alpha", p4_file],
-                 ["oracle", "--op", "contract", "--param", "alpha", "-k", "2", "-d", "1", p4_file],
-                 ["verify", str(report), p4_file]):
+    # Each subcommand's argv, and the package modules a run of it must not load.
+    runs = [
+        (["cotree", k4_file], SOLVER_MODULES | {"oracle", "parameters", "report"}),
+        (["catalogue", "--class", "bipartite", "--n", "4"], {"oracle", "parameters", "report"}),
+        (["param", "--kind", "alpha", p4_file], SOLVER_MODULES | {"oracle"}),
+        (["mono", "--mode", "deficiency", "-d", "1", k4_file], {"oracle", "parameters"}),
+        (["oracle", "--op", "contract", "--param", "alpha", "-k", "2", "-d", "1", p4_file],
+         SOLVER_MODULES),
+        (["verify", str(report), p4_file], SOLVER_MODULES),
+        (["blocker", "-k", "2", "-d", "1", p4_file], set()),
+        (["reduce", "vc2cb", "-k", "2", p4_file], set()),
+    ]
+    for argv, excluded in runs:
         loaded = _modules_loaded_by(f"from blockerlab.cli import main\nassert main({argv!r}) == 0")
-        assert "cli" in loaded
-        assert not loaded & SOLVER_MODULES, (argv[0], loaded)
+        assert "blockerlab.cli" in loaded
+        assert not loaded & NEVER_LOADED, (argv[0], loaded & NEVER_LOADED)
+        assert not _package_part(loaded) & excluded, (argv[0], _package_part(loaded))
 
 
 def test_capacity_exit_code(capsys, tmp_path, monkeypatch):
@@ -352,7 +371,7 @@ def test_internal_error_is_not_a_no(capsys, monkeypatch, k4_file):
     def crash(g):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "recognize_cograph", crash)
+    monkeypatch.setattr(recognizers, "recognize_cograph", crash)
     assert main(["cotree", k4_file]) == 4
     assert "internal error" in capsys.readouterr().err
 

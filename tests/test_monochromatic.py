@@ -14,7 +14,7 @@ from blockerlab.graph import (
     cycle_graph,
     graph_join,
 )
-from blockerlab.errors import CapacityExceededError
+from blockerlab.errors import BUDGET_ENV_VAR, CapacityExceededError
 from blockerlab.monochromatic import (
     count_monochromatic_edges,
     has_property_one,
@@ -25,7 +25,7 @@ from blockerlab.monochromatic import (
     monochromatic_edge_set,
     recolour_module,
 )
-from blockerlab.oracle import BUDGET_ENV_VAR, brute_min_mono
+from blockerlab.oracle import brute_min_mono
 from blockerlab.parameters import chi_exact
 
 

@@ -11,9 +11,25 @@ import blockerlab
 MODULES = sorted(path.name for path in Path(blockerlab.__file__).parent.glob("*.py"))
 
 
+def _tree(module):
+    path = Path(blockerlab.__file__).parent / module
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_certifying_module_has_no_assert(module):
-    path = Path(blockerlab.__file__).parent / module
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Assert)]
     assert not lines, f"{module} uses assert on lines {lines}"
+
+
+# Records are NamedTuples: importing dataclasses alone costs a CLI process
+# about 12 ms, because it pulls in inspect, ast, dis and tokenize.
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_no_dataclasses(module):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    assert not lines, f"{module} imports dataclasses on lines {lines}"

@@ -1,6 +1,6 @@
 import pytest
 
-from blockerlab.graph import complete_graph, cycle_graph, path_graph
+from blockerlab.graph import Graph, complete_graph, cycle_graph, path_graph
 from blockerlab.graphio import format_graph
 from blockerlab.report import digest_bytes, verify_report
 
@@ -70,8 +70,13 @@ def test_no_answers_are_vacuously_valid(k4):
         ({"d": True}, "d must be"),
         ({"k": -1}, "k must be"),
         ({"k": "2"}, "k must be"),
+        ({"value_after": True}, "value_after must be"),
+        ({"value_before": 2.0, "value_after": 1.0}, "value_before must be"),
+        ({"answer": "no", "witness": None, "value_before": "2", "value_after": None},
+         "value_before must be"),
     ],
-    ids=["maybe", "null-answer", "d-zero", "d-float", "d-bool", "k-negative", "k-string"],
+    ids=["maybe", "null-answer", "d-zero", "d-float", "d-bool", "k-negative", "k-string",
+         "after-bool", "values-float", "no-before-string"],
 )
 def test_blocker_report_outside_the_schema_rejected(overrides, complaint):
     # P4 has alpha 2; contracting both end edges leaves one edge, alpha 1.
@@ -173,9 +178,11 @@ def _mono_report(**overrides):
         ({"mode": "fixed-h", "h": 0}, "h must be"),
         ({"mode": "fixed-h", "h": True}, "h must be"),
         ({"min_mono_edges": True}, "min_mono_edges must be"),
+        ({"chi": 4.0}, "chi must be"),
+        ({"chi": True}, "chi must be"),
     ],
     ids=["bogus-mode", "null-mode", "d-negative", "d-float", "d-bool",
-         "h-float", "h-zero", "h-bool", "count-bool"],
+         "h-float", "h-zero", "h-bool", "count-bool", "chi-float", "chi-bool"],
 )
 def test_mono_report_outside_the_schema_rejected(k4, overrides, complaint):
     ok, detail = verify_report(_mono_report(), k4)
@@ -194,3 +201,13 @@ def test_param_report_value_outside_the_schema_rejected(k4, value):
     report["value"] = value
     ok, detail = verify_report(report, k4)
     assert not ok and "value must be" in detail
+
+
+def test_single_vertex_mono_report_with_boolean_chi_rejected():
+    # chi is 1 here, and True == 1: only the integer check can tell them apart.
+    report = {"subcommand": "mono", "mode": "deficiency", "d": 0, "chi": 1,
+              "min_mono_edges": 0, "colouring": [1], "deleted_edges": []}
+    ok, detail = verify_report(report, Graph(1))
+    assert ok, detail
+    ok, detail = verify_report(dict(report, chi=True), Graph(1))
+    assert not ok and "chi must be" in detail
