@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .errors import CapacityExceededError, CertificateError, configured_budget
+from .errors import CertificateError, check_capacity
 from .graph import Edge, Graph, bits, contract_edges, induced_subgraph, validate_edge_set
 from .oracle import BlockerQuery, _subset_count, brute_blocker
 from .parameters import alpha_bipartite, mu_bipartite
@@ -168,14 +168,7 @@ def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutc
 
     # k <= 2d: enumeration over subsets of at most k edges, smallest first.
     edges = g.edges()
-    needed = _subset_count(len(edges), k)
-    budget = configured_budget(None)
-    if needed > budget:
-        raise CapacityExceededError(
-            f"{needed} edge sets exceed the enumeration budget of {budget}",
-            needed=needed,
-            budget=budget,
-        )
+    check_capacity(_subset_count(len(edges), k), "edge sets")
     target = alpha - d
     for size in range(1, min(k, len(edges)) + 1):
         for subset in combinations(edges, size):

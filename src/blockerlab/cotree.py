@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .errors import CertificateError, NotACographError
-from .graph import Graph, bits
+from .graph import Graph, bits, components
 
 
 class CotreeLeaf:
@@ -114,27 +114,6 @@ def _chain(nodes: list[CotreeNode], label: int) -> CotreeNode:
     return out
 
 
-def _components(adj: tuple[int, ...], mask: int, co: bool) -> list[int]:
-    """Components of ``G[mask]``, or of its complement when ``co``, as
-    bitmasks ordered by least vertex."""
-    parts = []
-    rest = mask
-    while rest:
-        frontier = rest & -rest
-        rest ^= frontier
-        part = frontier
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nbrs = adj[low.bit_length() - 1]
-            reached = rest & ~nbrs if co else rest & nbrs
-            rest ^= reached
-            part |= reached
-            frontier |= reached
-        parts.append(part)
-    return parts
-
-
 def _induced_p4(adj: tuple[int, ...], mask: int) -> tuple[int, int, int, int]:
     """An induced P4 ``a-b-c-d`` of ``G[mask]``, which is connected and
     co-connected, in O(|mask|^2) mask operations.
@@ -153,7 +132,7 @@ def _induced_p4(adj: tuple[int, ...], mask: int) -> tuple[int, int, int, int]:
     far = mask & ~near & ~low
     for co, a_side, b_side in ((False, near, far), (True, far, near)):
         # In H (G, or its complement when co) a_side are v's neighbours.
-        for part in _components(adj, b_side, co):
+        for part in components(adj, b_side, co):
             for y in bits(a_side):
                 seen = (~adj[y] if co else adj[y]) & part
                 unseen = part & ~seen
@@ -168,10 +147,10 @@ def _induced_p4(adj: tuple[int, ...], mask: int) -> tuple[int, int, int, int]:
                         return (y, x2, v, x) if co else (v, y, x, x2)
     # One vertex stands for each component; the rows are, per co-component
     # of N, the index set of adjacent components of G[M].
-    reps_m = [next(bits(part)) for part in _components(adj, far, False)]
+    reps_m = [next(bits(part)) for part in components(adj, far)]
     rows = sorted(
         ((sum(1 << i for i, x in enumerate(reps_m) if adj[y] >> x & 1), y)
-         for y in (next(bits(part)) for part in _components(adj, near, True))),
+         for y in (next(bits(part)) for part in components(adj, near, True))),
         key=lambda row: row[0].bit_count(),
     )
     for (s1, y1), (s2, y2) in zip(rows, rows[1:]):
@@ -218,10 +197,10 @@ def build_cotree(g: Graph) -> Cotree:
             entries.append(mask.bit_length() - 1)
             continue
         label = 0
-        parts = _components(adj, mask, False)
+        parts = components(adj, mask)
         if len(parts) == 1:
             label = 1
-            parts = _components(adj, mask, True)
+            parts = components(adj, mask, True)
         if len(parts) == 1:
             raise NotACographError(_checked_p4(adj, _induced_p4(adj, mask)))
         entries.append((label, []))

@@ -51,7 +51,7 @@ class CapacityExceededError(BlockerlabError):
     This is a first-class outcome: oracles refuse rather than degrade silently.
     """
 
-    def __init__(self, message, needed=None, budget=None):
+    def __init__(self, message: str, needed: int, budget: int):
         super().__init__(message)
         self.needed = needed
         self.budget = budget
@@ -63,3 +63,16 @@ def configured_budget(budget: int | None = None) -> int:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     return int(env) if env else DEFAULT_BUDGET
+
+
+def check_capacity(needed: int, unit: str, budget: int | None = None) -> None:
+    """The one refusal path: raise unless ``needed`` units fit the budget.
+
+    ``budget`` is resolved through :func:`configured_budget`; a fixed ceiling
+    passed here never reads the environment.
+    """
+    budget = configured_budget(budget)
+    if needed > budget:
+        raise CapacityExceededError(
+            f"{needed} {unit} exceed the budget of {budget}", needed=needed, budget=budget
+        )

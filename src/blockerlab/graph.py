@@ -34,6 +34,27 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def components(adj: tuple[int, ...], mask: int, co: bool = False) -> list[int]:
+    """Components of ``G[mask]``, or of its complement when ``co``, as
+    bitmasks ordered by least vertex."""
+    parts = []
+    rest = mask
+    while rest:
+        frontier = rest & -rest
+        rest ^= frontier
+        part = frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nbrs = adj[low.bit_length() - 1]
+            reached = rest & ~nbrs if co else rest & nbrs
+            rest ^= reached
+            part |= reached
+            frontier |= reached
+        parts.append(part)
+    return parts
+
+
 class Graph:
     """An immutable simple graph: no loops, no parallel edges, symmetric."""
 
@@ -90,22 +111,8 @@ class Graph:
         return g
 
     def connected_components(self) -> list[list[int]]:
-        seen = 0
-        comps = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            frontier = 1 << start
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self._adj[v]
-                frontier = nxt & ~comp
-            seen |= comp
-            comps.append(list(bits(comp)))
-        return comps
+        """Vertex lists of the components, ordered by least vertex."""
+        return [list(bits(part)) for part in components(self._adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1

@@ -32,7 +32,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .cotree import Cotree, CotreeLeaf, proper_colouring
-from .errors import CapacityExceededError, CertificateError, configured_budget
+from .errors import CertificateError, check_capacity, configured_budget
 from .graph import Edge, Graph, bits
 
 Colouring = tuple[int, ...]
@@ -149,16 +149,10 @@ def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
     if h >= stats.chi[t.root.index]:
         return 0, proper_colouring(t)
 
-    budget = configured_budget(None)
     cells = sum(
         math.comb(stats.size[node.index] + h - 1, h - 1) for node in t.postorder
     )
-    if cells > budget:
-        raise CapacityExceededError(
-            f"fixed-h table needs {cells} cells, budget {budget}",
-            needed=cells,
-            budget=budget,
-        )
+    check_capacity(cells, "table cells")
 
     # tables[i][key] = (cost, left key, right key, arrangement) where the
     # right key's class arrange[j] shares a colour with the left key's class j.
@@ -333,11 +327,7 @@ class _DeficiencyDP:
         if key in self.memo:
             return None, self.memo[key]
         if len(self.memo) >= self.budget:
-            raise CapacityExceededError(
-                f"deficiency DP needs more than {self.budget} states",
-                needed=len(self.memo) + 1,
-                budget=self.budget,
-            )
+            check_capacity(len(self.memo) + 1, "memo states", self.budget)
         return self._state(node, bounds, delta), None
 
     def _state(self, node, bounds, delta):

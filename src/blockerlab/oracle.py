@@ -12,7 +12,7 @@ import itertools
 import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import CapacityExceededError, configured_budget
+from .errors import check_capacity
 from .graph import (
     Graph,
     contract_edges,
@@ -94,40 +94,11 @@ def brute_blocker(q: BlockerQuery, budget: Optional[int] = None) -> OracleAnswer
     size, so the reported witness is deterministic: the lexicographically
     least among the minimum-size ones.
     """
-    budget = configured_budget(budget)
     ground = _ground_set(q.graph, q.operation)
-    needed = _subset_count(len(ground), q.k)
-    if needed > budget:
-        raise CapacityExceededError(
-            f"{needed} subsets exceed the oracle budget of {budget}",
-            needed=needed,
-            budget=budget,
-        )
-    before = parameter_value(q.graph, q.parameter)
-    target = before - q.d
-
-    def hit(subset: tuple) -> bool:
-        return parameter_value(apply_operation(q.graph, q.operation, subset), q.parameter) <= target
-
-    for size in range(0, min(q.k, len(ground)) + 1):
-        found = _first_hit(ground, size, hit)
-        if found is not None:
-            witness = frozenset(found)
-            after = parameter_value(
-                apply_operation(q.graph, q.operation, witness), q.parameter
-            )
-            return OracleAnswer(True, witness, True, before, after)
-    return OracleAnswer(False, None, False, before, None)
+    return _search(q, ground, range(min(q.k, len(ground)) + 1), True, budget)
 
 
-def _first_hit(ground: Sequence, size: int, hit):
-    for subset in itertools.combinations(ground, size):
-        if hit(subset):
-            return subset
-    return None
-
-
-def brute_blocker_decision(q: BlockerQuery, budget: Optional[int] = None) -> OracleAnswer:
+def brute_blocker_decision(q: BlockerQuery) -> OracleAnswer:
     """Decision-only variant for monotone (operation, parameter) pairs.
 
     When growing the set can only shrink the parameter, a witness of size
@@ -139,42 +110,34 @@ def brute_blocker_decision(q: BlockerQuery, budget: Optional[int] = None) -> Ora
         raise ValueError(
             f"({q.operation}, {q.parameter}) is not monotone; use brute_blocker"
         )
-    budget = configured_budget(budget)
     ground = _ground_set(q.graph, q.operation)
-    size = min(q.k, len(ground))
-    needed = math.comb(len(ground), size)
-    if needed > budget:
-        raise CapacityExceededError(
-            f"{needed} subsets exceed the oracle budget of {budget}",
-            needed=needed,
-            budget=budget,
-        )
+    return _search(q, ground, (min(q.k, len(ground)),), False)
+
+
+def _search(
+    q: BlockerQuery,
+    ground: list,
+    sizes: Sequence[int],
+    minimal: bool,
+    budget: Optional[int] = None,
+) -> OracleAnswer:
+    """First subset of ``ground`` reaching the drop, trying ``sizes`` in order
+    and each size lexicographically; a hit is reported with ``minimal``."""
+    check_capacity(sum(math.comb(len(ground), size) for size in sizes), "subsets", budget)
     before = parameter_value(q.graph, q.parameter)
     target = before - q.d
-
-    def hit(subset: tuple) -> bool:
-        return parameter_value(apply_operation(q.graph, q.operation, subset), q.parameter) <= target
-
-    found = _first_hit(ground, size, hit)
-    if found is None:
-        return OracleAnswer(False, None, False, before, None)
-    witness = frozenset(found)
-    after = parameter_value(apply_operation(q.graph, q.operation, witness), q.parameter)
-    return OracleAnswer(True, witness, False, before, after)
+    for size in sizes:
+        for subset in itertools.combinations(ground, size):
+            after = parameter_value(apply_operation(q.graph, q.operation, subset), q.parameter)
+            if after <= target:
+                return OracleAnswer(True, frozenset(subset), minimal, before, after)
+    return OracleAnswer(False, None, False, before, None)
 
 
-def min_critical_size(
-    g: Graph,
-    operation: str,
-    parameter: str,
-    d: int,
-    budget: Optional[int] = None,
-) -> Optional[int]:
+def min_critical_size(g: Graph, operation: str, parameter: str, d: int) -> Optional[int]:
     """Smallest set size achieving the drop, or None if no set at all does."""
     ground = _ground_set(g, operation)
-    answer = brute_blocker(
-        BlockerQuery(g, operation, parameter, len(ground), d), budget=budget
-    )
+    answer = brute_blocker(BlockerQuery(g, operation, parameter, len(ground), d))
     return len(answer.witness) if answer.answer else None
 
 
@@ -197,9 +160,7 @@ def is_minimal_critical(g: Graph, s, parameter: str) -> bool:
     return True
 
 
-def brute_min_mono(
-    g: Graph, h: int, budget: Optional[int] = None
-) -> tuple[int, tuple[int, ...]]:
+def brute_min_mono(g: Graph, h: int) -> tuple[int, tuple[int, ...]]:
     """Global minimum of monochromatic edges over all h-colourings.
 
     Symmetry is cut by fixing colour 1 on vertex 0; the reported colouring is
@@ -207,15 +168,9 @@ def brute_min_mono(
     """
     if h < 1:
         raise ValueError("h must be at least 1")
-    budget = configured_budget(budget)
-    if g.n > 0 and h ** (g.n - 1) > budget:
-        raise CapacityExceededError(
-            f"{h}^{g.n - 1} colourings exceed the oracle budget of {budget}",
-            needed=h ** (g.n - 1),
-            budget=budget,
-        )
     if g.n == 0:
         return 0, ()
+    check_capacity(h ** (g.n - 1), "colourings")
 
     adj = g.adj
     best = g.edge_count() + 1
@@ -240,9 +195,7 @@ def brute_min_mono(
     return best, best_col
 
 
-def brute_mss(
-    ell: int, a: Sequence[int], h: int, budget: Optional[int] = None
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def brute_mss(ell: int, a: Sequence[int], h: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Minimum sum of squared group sums over partitions of [ell] into h groups.
 
     Returns the best value and one optimal partition as a length-h tuple of
@@ -252,13 +205,7 @@ def brute_mss(
         raise ValueError("tuple length must match ell >= 1")
     if h < 1:
         raise ValueError("h must be at least 1")
-    budget = configured_budget(budget)
-    if h ** ell > budget:
-        raise CapacityExceededError(
-            f"{h}^{ell} assignments exceed the oracle budget of {budget}",
-            needed=h**ell,
-            budget=budget,
-        )
+    check_capacity(h**ell, "assignments")
     best = None
     best_assign = None
     for assign in itertools.product(range(h), repeat=ell):

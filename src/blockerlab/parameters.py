@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
-from .errors import CapacityExceededError, CertificateError
+from .errors import CertificateError, check_capacity
 from .graph import Edge, Graph, bits
 from .recognizers import (
     Bipartition,
@@ -74,24 +74,14 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
 
 def alpha_exact(g: Graph) -> ParameterValue:
     """Maximum independent set by branch and bound."""
-    if g.n > ALPHA_OMEGA_VERTEX_CEILING:
-        raise CapacityExceededError(
-            f"alpha_exact supports n <= {ALPHA_OMEGA_VERTEX_CEILING}, got {g.n}",
-            needed=g.n,
-            budget=ALPHA_OMEGA_VERTEX_CEILING,
-        )
+    check_capacity(g.n, "vertices", ALPHA_OMEGA_VERTEX_CEILING)
     mask = _max_independent_mask(g.adj, (1 << g.n) - 1)
     return ParameterValue("alpha", mask.bit_count(), frozenset(bits(mask)))
 
 
 def omega_exact(g: Graph) -> ParameterValue:
     """Maximum clique, as an independent set of the complement."""
-    if g.n > ALPHA_OMEGA_VERTEX_CEILING:
-        raise CapacityExceededError(
-            f"omega_exact supports n <= {ALPHA_OMEGA_VERTEX_CEILING}, got {g.n}",
-            needed=g.n,
-            budget=ALPHA_OMEGA_VERTEX_CEILING,
-        )
+    check_capacity(g.n, "vertices", ALPHA_OMEGA_VERTEX_CEILING)
     comp = g.complement()
     mask = _max_independent_mask(comp.adj, (1 << g.n) - 1)
     return ParameterValue("omega", mask.bit_count(), frozenset(bits(mask)))
@@ -99,12 +89,7 @@ def omega_exact(g: Graph) -> ParameterValue:
 
 def chi_exact(g: Graph) -> ParameterValue:
     """Chromatic number by branch and bound over colour assignments."""
-    if g.n > CHI_VERTEX_CEILING:
-        raise CapacityExceededError(
-            f"chi_exact supports n <= {CHI_VERTEX_CEILING}, got {g.n}",
-            needed=g.n,
-            budget=CHI_VERTEX_CEILING,
-        )
+    check_capacity(g.n, "vertices", CHI_VERTEX_CEILING)
     if g.n == 0:
         return ParameterValue("chi", 0, ())
 
@@ -226,15 +211,9 @@ def alpha_chordal(g: Graph, cert: EliminationOrder) -> ParameterValue:
 
 def tau_from_alpha(g: Graph, a: ParameterValue) -> ParameterValue:
     """Minimum vertex cover as the complement of a maximum independent set."""
-    if a.kind != "alpha" or not isinstance(a.witness, frozenset):
+    if a.kind != "alpha" or not isinstance(a.witness, frozenset) or not validate_witness(g, a):
         raise CertificateError("tau_from_alpha needs a certified alpha value")
-    wit = a.witness
-    if len(wit) != a.value:
-        raise CertificateError("alpha witness size does not match its value")
-    for u in wit:
-        if any(v in wit for v in bits(g.adj[u])):
-            raise CertificateError("alpha witness is not independent")
-    cover = frozenset(range(g.n)) - wit
+    cover = frozenset(range(g.n)) - a.witness
     return ParameterValue("tau", g.n - a.value, cover)
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Union
 
 from .cotree import Cotree, build_cotree
 from .errors import CertificateError, NotACographError
-from .graph import Graph, bits, contains_induced, disjoint_union, path_graph
+from .graph import Graph, bits, components, contains_induced, disjoint_union, path_graph
 
 
 class Bipartition(NamedTuple):
@@ -168,26 +168,16 @@ def recognize_cograph(g: Graph) -> Union[CotreeCertificate, NotInClass]:
 
 def recognize_complete_multipartite(g: Graph) -> Union[MultipartiteParts, NotInClass]:
     """Parts are the complement's components; failure yields an induced P2+P1."""
-    comps = g.complement().connected_components()
-    parts = [frozenset(c) for c in comps]
-    ok = True
-    for part in parts:
-        for u in part:
-            if any(v in part for v in bits(g.adj[u])):
-                ok = False
-    if ok:
-        for i, a in enumerate(parts):
-            for b in parts[i + 1 :]:
-                for u in a:
-                    if not all(g.has_edge(u, v) for v in b):
-                        ok = False
-    if ok:
-        return MultipartiteParts(tuple(sorted(parts, key=min)))
-    p2p1 = disjoint_union(path_graph(2), path_graph(1))
-    hit = contains_induced(g, p2p1)
-    if hit is None:
-        raise CertificateError("not complete multipartite, yet no induced P2+P1")
-    return NotInClass("induced P2+P1", hit)
+    parts = components(g.adj, (1 << g.n) - 1, co=True)
+    cert = MultipartiteParts(tuple(frozenset(bits(part)) for part in parts))
+    try:
+        validate_multipartite(g, cert)
+    except CertificateError:
+        hit = contains_induced(g, disjoint_union(path_graph(2), path_graph(1)))
+        if hit is None:
+            raise CertificateError("not complete multipartite, yet no induced P2+P1")
+        return NotInClass("induced P2+P1", hit)
+    return cert
 
 
 def validate_multipartite(g: Graph, cert: MultipartiteParts) -> None:

@@ -3,9 +3,10 @@
 Every answering subcommand emits a JSON report (schema in
 ``docs/report_schema.json``).  :func:`verify_report` recomputes the claim
 from the witness using only the graph operations and the exact parameter
-solvers, so a verified yes answer does not depend on the solver that
-produced it.  Each verifier imports those solvers itself, so a process that
-only writes a report loads none of them.
+solvers (on a cograph, omega and chi come from a certified cotree clique and
+colouring instead), so a verified yes answer does not depend on the solver
+that produced it.  Each verifier imports those solvers itself, so a process
+that only writes a report loads none of them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 from typing import Optional
 
-from .errors import CertificateError
+from .errors import CertificateError, NotACographError
 from .graph import Graph
 
 SCHEMA_VERSION = 1
@@ -105,7 +106,6 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
 
 
 def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
-    from .oracle import parameter_value
     from .parameters import ParameterValue, validate_witness
     from .recognizers import NotInClass, recognize_bipartite
 
@@ -129,10 +129,20 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
         if isinstance(cert, NotInClass):
             # König's mu = n - alpha holds on bipartite graphs only.
             return False, f"mu is verified on bipartite graphs only; odd cycle {list(cert.witness)}"
-    if kind in ("alpha", "omega", "chi"):
-        exact = parameter_value(g, kind)
-    else:  # tau = n - alpha; mu = tau by König on bipartite inputs
-        exact = g.n - parameter_value(g, "alpha")
+    exact = None
+    if kind in ("omega", "chi") and g.n:
+        try:
+            # Cographs are perfect, so the cotree certifies omega = chi at any size.
+            exact = _cograph_chi(g)
+        except NotACographError:
+            pass
+    if exact is None:
+        from .oracle import parameter_value
+
+        if kind in ("alpha", "omega", "chi"):
+            exact = parameter_value(g, kind)
+        else:  # tau = n - alpha; mu = tau by König on bipartite inputs
+            exact = g.n - parameter_value(g, "alpha")
     if value != exact:
         return False, f"reported {kind}={value}, recomputed {exact}"
     return True, f"{kind}={value} certified"

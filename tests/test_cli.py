@@ -236,6 +236,24 @@ def test_verify_mono_report_above_omega_exact_ceiling(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"]
 
 
+def test_verify_param_chi_report_above_chi_exact_ceiling(capsys, tmp_path):
+    # The 30-vertex threshold chain (odd vertices join all earlier ones) is
+    # answered by the cograph route; verify must certify it without chi_exact.
+    g = Graph(30, [(u, v) for v in range(1, 30, 2) for u in range(v)])
+    graph_file = tmp_path / "chain30.graph"
+    graph_file.write_text(format_graph(g))
+    code, out = _run(capsys, "param", "--kind", "chi", str(graph_file))
+    assert code == 0 and json.loads(out)["value"] == 16
+    report_file = tmp_path / "chi.json"
+    report_file.write_text(out)
+    code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
+    assert code == 0 and json.loads(verdict)["valid"]
+    for wrong in (15, 17):
+        report_file.write_text(json.dumps(dict(json.loads(out), value=wrong)))
+        code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
+        assert code == 1 and not json.loads(verdict)["valid"]
+
+
 def test_reduce_sat2chordal(capsys, tmp_path):
     inst = tmp_path / "sat.txt"
     inst.write_text("p wp2sat 2 1 1\n1 2\n")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from blockerlab.errors import InvalidEdgeError, InvalidVertexError
 from blockerlab.graph import (
     Graph,
+    bits,
     complete_bipartite_graph,
+    components,
     complete_graph,
     contains_induced,
     contract_edges,
@@ -218,3 +220,25 @@ def test_complement_and_equality():
     assert g.complement().complement() == g
     assert complete_graph(3).complement() == Graph(3)
     assert complete_bipartite_graph(1, 3).degree(0) == 3
+
+
+def test_component_search_matches_complement_components():
+    assert Graph(0).connected_components() == []
+    assert disjoint_union(path_graph(2), Graph(1)).connected_components() == [[0, 1], [2]]
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        full = (1 << n) - 1
+        for co, host in ((False, g), (True, g.complement())):
+            parts = [sorted(bits(p)) for p in components(g.adj, full, co)]
+            assert parts == host.connected_components()
+            for part in parts:
+                # Closed (no host edge leaves it) and connected (plain BFS).
+                assert all(w in part for v in part for w in host.neighbours(v))
+                seen, todo = {part[0]}, [part[0]]
+                while todo:
+                    fresh = set(host.neighbours(todo.pop())) - seen
+                    seen |= fresh
+                    todo.extend(fresh)
+                assert seen == set(part)

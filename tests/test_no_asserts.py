@@ -33,3 +33,16 @@ def test_module_imports_no_dataclasses(module):
         or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
     ]
     assert not lines, f"{module} imports dataclasses on lines {lines}"
+
+
+# Every capacity refusal goes through ``errors.check_capacity``, so the
+# message, the fields and the budget lookup have one implementation.
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "errors.py"])
+def test_capacity_error_is_built_only_by_the_gate(module):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CapacityExceededError"
+    ]
+    assert not lines, f"{module} builds CapacityExceededError on lines {lines}"

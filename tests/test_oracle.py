@@ -7,7 +7,7 @@ from blockerlab.catalogue import (
     graph_catalogue,
     random_connected_graph,
 )
-from blockerlab.errors import CapacityExceededError
+from blockerlab.errors import BUDGET_ENV_VAR, CapacityExceededError
 from blockerlab.graph import (
     Graph,
     complete_bipartite_graph,
@@ -136,9 +136,10 @@ def test_brute_min_mono_examples():
     assert col[0] == 1  # canonical: the first colour class holds vertex 0
 
 
-def test_brute_min_mono_budget():
+def test_brute_min_mono_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
     with pytest.raises(CapacityExceededError):
-        brute_min_mono(Graph(30), 2, budget=1000)
+        brute_min_mono(Graph(30), 2)
 
 
 def test_brute_mss_examples():
@@ -149,9 +150,10 @@ def test_brute_mss_examples():
     assert sorted(sum((mss_part for mss_part in parts), ())) == [0, 1, 2]
 
 
-def test_brute_mss_budget_and_validation():
+def test_brute_mss_budget_and_validation(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
     with pytest.raises(CapacityExceededError):
-        brute_mss(20, (1,) * 20, 3, budget=100)
+        brute_mss(20, (1,) * 20, 3)
     with pytest.raises(ValueError):
         brute_mss(2, (1,), 2)
 

@@ -109,6 +109,19 @@ def test_param_report_value_must_match(k4):
     assert not ok  # the "independent set" is an edge, and alpha(K4) is 1
 
 
+def test_param_omega_report_on_cograph_above_omega_exact_ceiling():
+    # A 60-vertex threshold chain: the clique of vertex 0 and the 30 odd
+    # vertices is checked against the cotree, not omega_exact (n <= 40).
+    g = Graph(60, [(u, v) for v in range(1, 60, 2) for u in range(v)])
+    clique = [0] + list(range(1, 60, 2))
+    report = {"subcommand": "param", "kind": "omega", "value": 31, "witness": {"vertices": clique}}
+    ok, detail = verify_report(report, g)
+    assert ok, detail
+    report.update(value=30, witness={"vertices": clique[1:]})
+    ok, detail = verify_report(report, g)
+    assert not ok and "recomputed 31" in detail
+
+
 def test_mono_report_colour_budget_enforced(k4):
     report = {
         "subcommand": "mono",
