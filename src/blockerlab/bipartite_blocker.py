@@ -20,10 +20,10 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import CertificateError, check_capacity
-from .graph import Edge, Graph, bits, contract_edges, induced_subgraph, validate_edge_set
+from .graph import Edge, Graph, bits, contract_edges, to_mask, validate_edge_set
 from .oracle import BlockerQuery, _subset_count, brute_blocker
-from .parameters import alpha_bipartite, mu_bipartite
-from .recognizers import Bipartition, NotInClass, recognize_bipartite
+from .parameters import alpha_bipartite, bipartite_matching, mu_bipartite
+from .recognizers import Bipartition, NotInClass, recognize_bipartite, validate_bipartition
 
 MAX_SUPPORTED_D = 3
 
@@ -84,52 +84,35 @@ def build_contraction_tree(g: Graph, matching: frozenset[Edge], d: int) -> froze
 def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
     """alpha of ``g`` with the edges of ``s`` contracted.
 
-    Splits every independent set of the contracted graph into contracted
+    Splits every independent set of the contracted graph into merged
     vertices ``U'`` and untouched vertices outside ``N(U')``; the untouched
-    side is an induced subgraph of the bipartite input, so its alpha comes
-    from a matching.
+    side is an induced subgraph of the bipartite input, so its alpha is its
+    size less a maximum matching.
     """
     s = validate_edge_set(g, s)
-    contracted, comp = contract_edges(g, s)
-    comp_size = [0] * contracted.n
-    for v in range(g.n):
-        comp_size[comp[v]] += 1
-    original = {}
-    for v in range(g.n):
-        if comp_size[comp[v]] == 1:
-            original[comp[v]] = v
-
-    side = [0] * g.n
-    for v in cert.right:
-        side[v] = 1
-
-    merged = [x for x in range(contracted.n) if comp_size[x] > 1]
-    merged_mask = 0
-    for x in merged:
-        merged_mask |= 1 << x
+    validate_bipartition(g, cert)
+    _, comp = contract_edges(g, s)
+    touched = to_mask(v for e in s for v in e)
+    classes: dict[int, tuple[int, int]] = {}  # merged vertex -> (its class, their neighbours)
+    for v in bits(touched):
+        cls, nbrs = classes.get(comp[v], (0, 0))
+        classes[comp[v]] = (cls | 1 << v, nbrs | g.adj[v])
+    merged = [(cls, nbrs & ~cls) for cls, nbrs in classes.values()]
+    untouched = ((1 << g.n) - 1) & ~touched
+    left = to_mask(cert.left)
 
     best = 0
     for r in range(len(merged) + 1):
         for chosen in combinations(merged, r):
-            ok = all(
-                not contracted.has_edge(a, b)
-                for i, a in enumerate(chosen)
-                for b in chosen[i + 1 :]
-            )
-            if not ok:
-                continue
-            removed = merged_mask
-            for x in chosen:
-                removed |= contracted.adj[x]
-            rest = [
-                original[x] for x in range(contracted.n) if not removed >> x & 1
-            ]
-            sub, remap = induced_subgraph(g, rest)
-            sub_cert = Bipartition(
-                frozenset(remap[v] for v in rest if side[v] == 0),
-                frozenset(remap[v] for v in rest if side[v] == 1),
-            )
-            best = max(best, len(chosen) + alpha_bipartite(sub, sub_cert).value)
+            inside = nbrs = 0
+            for cls, around in chosen:
+                inside |= cls
+                nbrs |= around
+            if inside & nbrs:
+                continue  # two chosen classes are adjacent
+            rest = untouched & ~nbrs
+            mate, _ = bipartite_matching(g.adj, rest & left, rest & ~left)
+            best = max(best, r + rest.bit_count() - len(mate) // 2)
     return best
 
 

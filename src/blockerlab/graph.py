@@ -34,6 +34,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def to_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with exactly the bits of ``vertices`` set."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def components(adj: tuple[int, ...], mask: int, co: bool = False) -> list[int]:
     """Components of ``G[mask]``, or of its complement when ``co``, as
     bitmasks ordered by least vertex."""

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .cotree import Cotree, CotreeLeaf, proper_colouring
 from .errors import CertificateError, check_capacity, configured_budget
-from .graph import Edge, Graph, bits
+from .graph import Edge, Graph, bits, to_mask
 
 Colouring = tuple[int, ...]
 
@@ -68,11 +68,12 @@ def recolour_module(g: Graph, c: Sequence[int], module) -> Colouring:
         raise ValueError("module must be non-empty")
     if len(c) != g.n:
         raise ValueError("colouring must be total")
+    inside = to_mask(module)
     nbhd = 0
     for v in module:
         nbhd |= g.adj[v]
     for v in module:
-        if g.adj[v] != nbhd & ~_mask(module) or g.adj[v] & _mask(module):
+        if g.adj[v] != nbhd & ~inside or g.adj[v] & inside:
             raise ValueError("module vertices must share the same neighbourhood")
     outside = [w for w in bits(nbhd)]
     own_colours = sorted({c[v] for v in module})
@@ -81,13 +82,6 @@ def recolour_module(g: Graph, c: Sequence[int], module) -> Colouring:
     for v in module:
         out[v] = best
     return tuple(out)
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 # -- lambda matchings ----------------------------------------------------------

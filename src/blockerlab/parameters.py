@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .errors import CertificateError, check_capacity
-from .graph import Edge, Graph, bits
+from .graph import Edge, Graph, bits, to_mask
 from .recognizers import (
     Bipartition,
     EliminationOrder,
@@ -54,16 +54,9 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
             return
         v = max(bits(cand), key=lambda x: (adj[x] & cand).bit_count())
         if (adj[v] & cand) == 0:
-            # All remaining candidates are pairwise handled via recursion on
-            # isolated vertices; take them all at once.
-            iso = cand
-            take = cur
-            cnt = size
-            for w in bits(iso):
-                take |= 1 << w
-                cnt += 1
-            if cnt > best_size:
-                best_mask, best_size = take, cnt
+            # No edge is left among the candidates, and the bound above
+            # says taking them all beats the best so far.
+            best_mask, best_size = cur | cand, size + cand.bit_count()
             return
         rec(cand & ~(adj[v] | (1 << v)), cur | (1 << v), size + 1)
         rec(cand & ~(1 << v), cur, size)
@@ -134,66 +127,79 @@ def chi_exact(g: Graph) -> ParameterValue:
     return ParameterValue("chi", best, tuple(best_col))
 
 
-def _maximum_matching(g: Graph, left: frozenset[int]) -> dict[int, int]:
-    """Kuhn's augmenting-path matching from the left side of a bipartition."""
-    match: dict[int, int] = {}
+def bipartite_matching(adj: tuple[int, ...], left: int, right: int) -> tuple[dict[int, int], int]:
+    """Maximum matching of the bipartite graph on the masks ``left`` and
+    ``right`` as ``mate`` (both directions), and a minimum vertex cover mask.
 
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in bits(g.adj[u]):
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match or augment(match[v], seen):
-                match[v] = u
-                return True
-        return False
+    Hopcroft-Karp (SIAM J. Comput. 2(4), 1973): a BFS from the free left
+    vertices layers the graph, then a DFS on an explicit stack augments along
+    disjoint shortest paths.  A BFS that reaches no free right vertex has
+    reached the set Z of König's cover ``(left - Z) | (right & Z)``.
+    """
+    mate: dict[int, int] = {}
+    matched = 0
+    while True:
+        # rights[i]: the right vertices 2i + 1 steps from a free left vertex.
+        layer = seen = roots = left & ~matched
+        rights = []
+        free = 0
+        while layer and not free:
+            reach = 0
+            for u in bits(layer):
+                reach |= adj[u]
+            reach &= right & ~seen
+            rights.append(reach)
+            free = reach & ~matched
+            layer = 0
+            for v in bits(reach & matched):
+                layer |= 1 << mate[v]
+            seen |= reach | layer
+        if not free:
+            return mate, (left & ~seen) | (right & seen)
+        rights[-1] = free
+        dead = 0
+        for root in bits(roots):
+            stack = [root]
+            while stack:
+                cand = adj[stack[-1]] & rights[len(stack) - 1] & ~dead
+                if not cand:
+                    stack.pop()
+                    continue
+                v = (cand & -cand).bit_length() - 1
+                dead |= 1 << v
+                if len(stack) < len(rights):
+                    stack.append(mate[v])
+                    continue
+                # Flip the path: each stacked vertex takes the right vertex
+                # that led on from it, the last one the free vertex v.
+                matched |= 1 << root | 1 << v
+                for u in reversed(stack):
+                    w = mate.get(u, -1)
+                    mate[u] = v
+                    mate[v] = u
+                    v = w
+                break
 
-    for u in sorted(left):
-        augment(u, set())
-    return match
+
+def koenig_pair(g: Graph, cert: Bipartition) -> tuple[ParameterValue, ParameterValue]:
+    """A maximum matching and a minimum vertex cover of one size (König)."""
+    validate_bipartition(g, cert)
+    mate, cover = bipartite_matching(g.adj, to_mask(cert.left), to_mask(cert.right))
+    edges = frozenset((u, v) for u, v in mate.items() if u < v)
+    if cover.bit_count() != len(edges):
+        raise CertificateError(f"König cover of {cover.bit_count()}, matching of {len(edges)}")
+    tau = ParameterValue("tau", len(edges), frozenset(bits(cover)))
+    return ParameterValue("mu", len(edges), edges), tau
 
 
 def mu_bipartite(g: Graph, cert: Bipartition) -> ParameterValue:
-    """Maximum matching of a bipartite graph via augmenting paths."""
-    validate_bipartition(g, cert)
-    match = _maximum_matching(g, cert.left)
-    edges = frozenset((min(u, v), max(u, v)) for v, u in match.items())
-    return ParameterValue("mu", len(edges), edges)
+    """Maximum matching of a bipartite graph."""
+    return koenig_pair(g, cert)[0]
 
 
 def alpha_bipartite(g: Graph, cert: Bipartition) -> ParameterValue:
-    """alpha = n - mu on bipartite graphs, with an explicit independent set.
-
-    The witness is built König-style: alternate from the unmatched left
-    vertices, then take reachable-left plus unreachable-right.
-    """
-    validate_bipartition(g, cert)
-    match = _maximum_matching(g, cert.left)  # right vertex -> left vertex
-    matched_left = set(match.values())
-    partner = {u: v for v, u in match.items()}  # left -> right
-
-    reach_left = {u for u in cert.left if u not in matched_left}
-    reach_right: set[int] = set()
-    frontier = list(reach_left)
-    while frontier:
-        u = frontier.pop()
-        for v in bits(g.adj[u]):
-            if v in reach_right:
-                continue
-            if partner.get(u) == v:
-                continue  # only non-matching edges leave the left side
-            reach_right.add(v)
-            w = match.get(v)
-            if w is not None and w not in reach_left:
-                reach_left.add(w)
-                frontier.append(w)
-
-    cover = (set(cert.left) - reach_left) | reach_right
-    independent = frozenset(range(g.n)) - cover
-    if len(independent) != g.n - len(match):
-        raise CertificateError(
-            f"König cover leaves {len(independent)} vertices, matching has {len(match)} edges"
-        )
+    """alpha = n - tau on any graph: the complement of a minimum vertex cover."""
+    independent = frozenset(range(g.n)) - koenig_pair(g, cert)[1].witness
     return ParameterValue("alpha", len(independent), independent)
 
 
@@ -219,35 +225,26 @@ def tau_from_alpha(g: Graph, a: ParameterValue) -> ParameterValue:
 
 def validate_witness(g: Graph, pv: ParameterValue) -> bool:
     """Re-validate a witness independently of the solver that produced it."""
-    if pv.kind == "alpha":
+    if pv.kind in ("alpha", "omega", "tau"):
         wit = pv.witness
-        return len(wit) == pv.value and all(
-            not g.has_edge(u, v) for u in wit for v in wit if u < v
-        )
-    if pv.kind == "omega":
-        wit = pv.witness
-        return len(wit) == pv.value and all(
-            g.has_edge(u, v) for u in wit for v in wit if u < v
-        )
+        if len(wit) != pv.value or not all(0 <= v < g.n for v in wit):
+            return False
+        inside = to_mask(wit)
+        if pv.kind == "alpha":
+            return not any(g.adj[v] & inside for v in wit)
+        if pv.kind == "omega":
+            return all(inside & ~g.adj[v] == 1 << v for v in wit)
+        # A vertex cover leaves no edge with both ends outside it.
+        outside = ((1 << g.n) - 1) & ~inside
+        return not any(g.adj[v] & outside for v in bits(outside))
     if pv.kind == "chi":
         col = pv.witness
-        if len(col) != g.n:
+        if len(col) != g.n or len(set(col)) > pv.value:
             return False
-        used = len(set(col))
-        return used <= pv.value and all(col[u] != col[v] for u, v in g.edges())
+        return all(col[u] != col[v] for u, v in g.edges())
     if pv.kind == "mu":
-        edges = pv.witness
-        if len(edges) != pv.value:
+        ends = [v for e in pv.witness for v in e]
+        if len(pv.witness) != pv.value or len(set(ends)) != len(ends):
             return False
-        seen: set[int] = set()
-        for u, v in edges:
-            if not g.has_edge(u, v) or u in seen or v in seen:
-                return False
-            seen.update((u, v))
-        return True
-    if pv.kind == "tau":
-        cover = pv.witness
-        return len(cover) == pv.value and all(
-            u in cover or v in cover for u, v in g.edges()
-        )
+        return all(0 <= v < g.n for v in ends) and all(g.has_edge(u, v) for u, v in pv.witness)
     raise ValueError(f"unknown parameter kind {pv.kind!r}")

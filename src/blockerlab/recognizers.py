@@ -183,6 +183,8 @@ def recognize_complete_multipartite(g: Graph) -> Union[MultipartiteParts, NotInC
 def validate_multipartite(g: Graph, cert: MultipartiteParts) -> None:
     seen: set[int] = set()
     for part in cert.parts:
+        if not part:
+            raise CertificateError("part is empty")
         if part & seen:
             raise CertificateError("parts overlap")
         seen |= part

@@ -3,10 +3,11 @@
 Every answering subcommand emits a JSON report (schema in
 ``docs/report_schema.json``).  :func:`verify_report` recomputes the claim
 from the witness using only the graph operations and the exact parameter
-solvers (on a cograph, omega and chi come from a certified cotree clique and
-colouring instead), so a verified yes answer does not depend on the solver
-that produced it.  Each verifier imports those solvers itself, so a process
-that only writes a report loads none of them.
+solvers, so a verified yes answer does not depend on the solver that produced
+it.  On a bipartite graph alpha, mu and tau come from a matching and a vertex
+cover of one size instead, and on a cograph omega and chi from a cotree
+clique and colouring of one size.  Each verifier imports those solvers
+itself, so a process that only writes a report loads none of them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 from typing import Optional
 
-from .errors import CertificateError, NotACographError
+from .errors import CapacityExceededError, CertificateError, NotACographError
 from .graph import Graph
 
 SCHEMA_VERSION = 1
@@ -58,6 +59,8 @@ def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -
             return _verify_param(report, g)
         if sub == "mono":
             return _verify_mono(report, g)
+    except CapacityExceededError:
+        raise  # "could not check" is a refusal, not "invalid"
     except Exception as exc:  # verification must never crash on bad reports
         return False, f"verification error: {exc}"
     return False, f"no verifier for subcommand {sub!r}"
@@ -106,7 +109,7 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
 
 
 def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
-    from .parameters import ParameterValue, validate_witness
+    from .parameters import ParameterValue, koenig_pair, validate_witness
     from .recognizers import NotInClass, recognize_bipartite
 
     complaint = _integer_complaint(report, ("value", 0))
@@ -124,12 +127,19 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
     pv = ParameterValue(kind, value, wit)
     if not validate_witness(g, pv):
         return False, "witness does not certify the reported value"
-    if kind == "mu":
+    exact = None
+    if kind in ("alpha", "mu", "tau"):
         cert = recognize_bipartite(g)
-        if isinstance(cert, NotInClass):
+        if not isinstance(cert, NotInClass):
+            # |M| <= mu <= tau <= |cover| on any graph, so equal sizes pin
+            # mu and tau, and alpha = n - tau, without an exhaustive solver.
+            matching, cover = koenig_pair(g, cert)
+            if not (validate_witness(g, matching) and validate_witness(g, cover)):
+                raise CertificateError("matching and vertex cover do not certify each other")
+            exact = g.n - cover.value if kind == "alpha" else cover.value
+        elif kind == "mu":
             # König's mu = n - alpha holds on bipartite graphs only.
             return False, f"mu is verified on bipartite graphs only; odd cycle {list(cert.witness)}"
-    exact = None
     if kind in ("omega", "chi") and g.n:
         try:
             # Cographs are perfect, so the cotree certifies omega = chi at any size.
@@ -141,7 +151,7 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
 
         if kind in ("alpha", "omega", "chi"):
             exact = parameter_value(g, kind)
-        else:  # tau = n - alpha; mu = tau by König on bipartite inputs
+        else:  # tau = n - alpha
             exact = g.n - parameter_value(g, "alpha")
     if value != exact:
         return False, f"reported {kind}={value}, recomputed {exact}"

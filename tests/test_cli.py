@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from blockerlab import cli, recognizers
+from blockerlab.catalogue import random_connected_bipartite
 from blockerlab.cli import main
 from blockerlab.cotree import parse_cotree_sexpr, realize_cotree
 from blockerlab.graph import (
@@ -252,6 +254,67 @@ def test_verify_param_chi_report_above_chi_exact_ceiling(capsys, tmp_path):
         report_file.write_text(json.dumps(dict(json.loads(out), value=wrong)))
         code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
         assert code == 1 and not json.loads(verdict)["valid"]
+
+
+def test_long_augmenting_paths_at_the_default_recursion_limit(capsys, tmp_path):
+    # On P_2000 an alternating path can run through all 2000 vertices, so no
+    # route may recurse along one.
+    assert sys.getrecursionlimit() <= 1000
+    path = tmp_path / "p2000.graph"
+    path.write_text(format_graph(path_graph(2000)))
+    for kind, value in (("alpha", 1000), ("mu", 1000), ("tau", 1000)):
+        code, out = _run(capsys, "param", "--kind", kind, str(path))
+        assert code == 0 and json.loads(out)["value"] == value
+    code, out = _run(capsys, "blocker", "-k", "5", "-d", "2", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["value_before"] == 1000 and report["value_after"] <= 998
+
+
+def _bipartite_file(tmp_path, n):
+    path = tmp_path / f"bipartite{n}.graph"
+    path.write_text(format_graph(random_connected_bipartite(random.Random(5), n, 0.15)))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["alpha", "mu", "tau"])
+def test_verify_bipartite_param_report_above_alpha_exact_ceiling(capsys, tmp_path, kind):
+    # 80 vertices: the value is certified by a matching and a vertex cover of
+    # one size, not by alpha_exact (n <= 40).
+    graph_file = _bipartite_file(tmp_path, 80)
+    code, out = _run(capsys, "param", "--kind", kind, graph_file)
+    assert code == 0
+    report_file = tmp_path / f"{kind}.json"
+    report_file.write_text(out)
+    code, verdict = _run(capsys, "verify", str(report_file), graph_file)
+    assert code == 0 and json.loads(verdict)["valid"], verdict
+    report = json.loads(out)
+    key = "edges" if kind == "mu" else "vertices"
+    # One element off either way: drop one, or add one that keeps the
+    # witness a witness where one exists (any vertex keeps a cover a cover).
+    smaller = dict(report, value=report["value"] - 1,
+                   witness={key: report["witness"][key][1:]})
+    larger = dict(report, value=report["value"] + 1)
+    if kind == "tau":
+        spare = min(set(range(80)) - set(report["witness"][key]))
+        larger["witness"] = {key: report["witness"][key] + [spare]}
+    for wrong in (smaller, larger):
+        report_file.write_text(json.dumps(wrong))
+        code, verdict = _run(capsys, "verify", str(report_file), graph_file)
+        assert code == 1 and not json.loads(verdict)["valid"]
+
+
+def test_verify_refusal_exits_3_not_invalid(capsys, tmp_path):
+    # Checking the blocker's before-value on 50 vertices needs alpha_exact
+    # (n <= 40): that is a refusal, not a rejection.
+    graph_file = _bipartite_file(tmp_path, 50)
+    code, out = _run(capsys, "blocker", "-k", "5", "-d", "2", graph_file)
+    assert code == 0 and json.loads(out)["answer"] == "yes"
+    report_file = tmp_path / "blocker.json"
+    report_file.write_text(out)
+    code = main(["verify", str(report_file), graph_file])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "capacity exceeded: 50 vertices exceed the budget of 40" in captured.err
 
 
 def test_reduce_sat2chordal(capsys, tmp_path):

@@ -3,20 +3,24 @@ import random
 
 import pytest
 
-from blockerlab.catalogue import random_chordal, random_connected_bipartite
+from blockerlab.catalogue import graph_catalogue, random_chordal, random_connected_bipartite
 from blockerlab.errors import CapacityExceededError, CertificateError
 from blockerlab.graph import (
     Graph,
+    bits,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
+    to_mask,
 )
 from blockerlab.parameters import (
+    ParameterValue,
     alpha_bipartite,
     alpha_chordal,
     alpha_exact,
+    bipartite_matching,
     chi_exact,
     mu_bipartite,
     omega_exact,
@@ -171,3 +175,116 @@ def test_mu_witness_is_a_matching():
         assert g.has_edge(u, v)
         assert u not in seen and v not in seen
         seen.update((u, v))
+
+
+def _ladder(m):
+    # P_m x K_2: rungs (i, m + i) and two rails.
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return Graph(2 * m, rails + [(i, m + i) for i in range(m)])
+
+
+def _crown(m):
+    # K_{m,m} less a perfect matching.
+    return Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m) if i != j])
+
+
+def _path_with_long_augmenting_path(m):
+    """A path on 2m vertices labelled so that the first phase matches every
+    left vertex but the path's first one, which then needs an augmenting
+    path through all 2m vertices.
+
+    Path position 2i (i >= 1) is vertex i - 1, position 0 is vertex m - 1 and
+    position 2i + 1 is vertex m + i, so every left vertex prefers the right
+    vertex before it on the path, and vertex m - 1 comes last.
+    """
+    label = [m - 1] + [None] * (2 * m - 1)
+    for i in range(1, m):
+        label[2 * i] = i - 1
+    for i in range(m):
+        label[2 * i + 1] = m + i
+    return Graph(2 * m, [(label[p], label[p + 1]) for p in range(2 * m - 1)])
+
+
+def _matching_property_graphs():
+    yield from graph_catalogue("bipartite", 8)
+    for m in (2, 3, 7, 30):
+        yield _ladder(m)
+        yield _crown(m)
+    for n in (2, 3, 39, 40, 2000, 2001):
+        yield path_graph(n)
+    yield _path_with_long_augmenting_path(20)
+    yield _path_with_long_augmenting_path(2000)
+
+
+def test_matching_and_koenig_cover_have_one_size():
+    for g in _matching_property_graphs():
+        cert = recognize_bipartite(g)
+        mate, cover = bipartite_matching(g.adj, to_mask(cert.left), to_mask(cert.right))
+        for v, w in mate.items():
+            assert mate[w] == v and (v in cert.left) != (w in cert.left)
+        edges = frozenset((u, v) for u, v in mate.items() if u < v)
+        matching = ParameterValue("mu", len(edges), edges)
+        assert validate_witness(g, matching)
+        assert validate_witness(g, ParameterValue("tau", matching.value, frozenset(bits(cover))))
+        assert mu_bipartite(g, cert).value == matching.value
+        alpha = alpha_bipartite(g, cert)
+        assert validate_witness(g, alpha) and alpha.value == g.n - matching.value
+        if g.n <= 40:
+            assert alpha.value == alpha_exact(g).value
+
+
+def _pairwise_verdict(g, kind, value, wit):
+    """The definitions of validate_witness's set kinds, pair by pair."""
+    ends = [v for e in wit for v in e] if kind == "mu" else wit
+    if len(wit) != value or not all(0 <= v < g.n for v in ends):
+        return False
+    pairs = list(itertools.combinations(sorted(wit), 2))
+    if kind == "alpha":
+        return not any(g.has_edge(u, v) for u, v in pairs)
+    if kind == "omega":
+        return all(g.has_edge(u, v) for u, v in pairs)
+    if kind == "mu":
+        return all(g.has_edge(u, v) for u, v in wit) and not any(set(a) & set(b) for a, b in pairs)
+    return all(u in wit or v in wit for u, v in g.edges())
+
+
+def _greedy_matching(g):
+    used, edges = set(), set()
+    for u, v in g.edges():
+        if u not in used and v not in used:
+            edges.add((u, v))
+            used.update((u, v))
+    return frozenset(edges)
+
+
+def test_witness_checks_match_pairwise_definition():
+    rng = random.Random(12)
+    checked = {True: 0, False: 0}
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+        alpha = alpha_exact(g)
+        cases = {  # kind -> (a witness, the elements it is drawn from, one out of range)
+            "alpha": (alpha.witness, range(g.n), g.n),
+            "omega": (omega_exact(g).witness, range(g.n), g.n),
+            "tau": (tau_from_alpha(g, alpha).witness, range(g.n), g.n),
+            "mu": (_greedy_matching(g), g.edges(), (0, g.n)),
+        }
+        for kind, (wit, universe, stray) in cases.items():
+            outside = sorted(set(universe) - wit)
+            # The witness, then witnesses one element wrong: one extra, one
+            # missing, one swapped, one out of range.
+            variants = [wit]
+            if outside:
+                variants.append(wit | {rng.choice(outside)})
+            if wit:
+                dropped = rng.choice(sorted(wit))
+                variants.append(wit - {dropped})
+                if outside:
+                    variants.append(wit - {dropped} | {rng.choice(outside)})
+                variants.append(wit - {dropped} | {stray})
+            for w in variants:
+                for value in (len(w), len(w) + 1):
+                    expected = _pairwise_verdict(g, kind, value, w)
+                    assert validate_witness(g, ParameterValue(kind, value, w)) == expected
+                    checked[expected] += 1
+    assert min(checked.values()) > 500

@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from blockerlab.catalogue import graph_catalogue
+from blockerlab.errors import CertificateError
 from blockerlab.graph import (
     Graph,
     complete_graph,
@@ -84,6 +87,14 @@ def test_complete_multipartite_recognizer():
     validate_multipartite(cycle_graph(4), cert)
     bad = recognize_complete_multipartite(path_graph(4))
     assert isinstance(bad, NotInClass)
+
+
+def test_multipartite_certificate_with_an_empty_part_rejected():
+    # K2 has two parts; an empty third part would claim three.
+    parts = (frozenset({0}), frozenset({1}), frozenset())
+    with pytest.raises(CertificateError, match="empty"):
+        validate_multipartite(complete_graph(2), MultipartiteParts(parts))
+    validate_multipartite(complete_graph(2), MultipartiteParts(parts[:2]))
 
 
 def test_multipartite_witness_is_p2_plus_p1():
