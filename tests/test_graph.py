@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockerlab.catalogue import graph_catalogue
 from blockerlab.errors import InvalidEdgeError, InvalidVertexError
 from blockerlab.graph import (
     Graph,
@@ -242,3 +243,73 @@ def test_component_search_matches_complement_components():
                     seen |= fresh
                     todo.extend(fresh)
                 assert seen == set(part)
+
+
+def _textbook_contraction(g: Graph, s):
+    """Components of (V, s) numbered by least vertex, then one edge per pair
+    of components joined by an edge of g."""
+    comp = [-1] * g.n
+    count = 0
+    for root in range(g.n):
+        if comp[root] >= 0:
+            continue
+        comp[root], todo = count, [root]
+        while todo:
+            u = todo.pop()
+            for a, b in s:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and comp[y] < 0:
+                        comp[y] = count
+                        todo.append(y)
+        count += 1
+    edges = {(comp[u], comp[v]) for u, v in g.edges() if comp[u] != comp[v]}
+    return Graph(count, [(min(e), max(e)) for e in edges]), tuple(comp)
+
+
+def _textbook_vertex_deletion(g: Graph, u):
+    keep = [v for v in range(g.n) if v not in u]
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = [(remap[a], remap[b]) for a, b in g.edges() if a in remap and b in remap]
+    return Graph(len(keep), edges), remap
+
+
+def _assert_simple(g: Graph):
+    for v in range(g.n):
+        assert not g.adj[v] >> v & 1 and g.adj[v] >> g.n == 0
+        assert all(g.adj[w] >> v & 1 for w in bits(g.adj[v]))
+
+
+def _operation_inputs():
+    """(graph, edge sets, vertex sets): every catalogue graph with n <= 6 with
+    every set of size <= 2, then seeded random graphs and larger sets."""
+    seen = set()
+    for clazz in ("bipartite", "chordal", "cograph", "c3-free", "complete-multipartite"):
+        for g in graph_catalogue(clazz, 6):
+            if g in seen:
+                continue
+            seen.add(g)
+            edge_sets = [s for r in range(3) for s in itertools.combinations(g.edges(), r)]
+            vertex_sets = [u for r in range(3) for u in itertools.combinations(range(g.n), r)]
+            yield g, edge_sets, vertex_sets
+    rng = random.Random(1209)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        edges = g.edges()
+        edge_sets = [rng.sample(edges, rng.randint(0, len(edges))) for _ in range(8)]
+        vertex_sets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(8)]
+        yield g, edge_sets, vertex_sets
+
+
+def test_graph_operations_equal_their_definitions():
+    for g, edge_sets, vertex_sets in _operation_inputs():
+        for s in edge_sets:
+            contracted, comp = contract_edges(g, s)
+            assert (contracted, comp) == _textbook_contraction(g, s)
+            pruned = delete_edges(g, s)
+            assert pruned == Graph(g.n, [e for e in g.edges() if e not in set(s)])
+            _assert_simple(contracted)
+            _assert_simple(pruned)
+        for u in vertex_sets:
+            assert delete_vertices(g, u) == _textbook_vertex_deletion(g, set(u))
+            _assert_simple(delete_vertices(g, u)[0])

@@ -197,3 +197,55 @@ def test_catalogue_members_are_connected_and_distinct():
     for a, b in itertools.combinations(graphs, 2):
         if a.n == b.n:
             assert not are_isomorphic(a, b)
+
+
+# (answer, value_before, value_after, sorted witness) of brute_blocker with
+# k = 3 and d = 2, recorded per (operation, parameter) on
+# random_connected_graph(Random(seed), 8, 0.45).  Faster solvers or graph
+# operations must keep the enumeration order and every witness.
+PINNED_ORACLE_TABLES = {
+    101: {
+        ("contract", "alpha"): (True, 3, 1, ((0, 2), (1, 5), (2, 6))),
+        ("contract", "omega"): (True, 4, 2, ((1, 3), (2, 6), (3, 4))),
+        ("contract", "chi"): (True, 4, 2, ((1, 3), (2, 6), (3, 4))),
+        ("delete-vertices", "alpha"): (False, 3, None, None),
+        ("delete-vertices", "omega"): (True, 4, 2, (2, 3)),
+        ("delete-vertices", "chi"): (True, 4, 2, (2, 3)),
+        ("delete-edges", "alpha"): (False, 3, None, None),
+        ("delete-edges", "omega"): (True, 4, 2, ((1, 3), (2, 6), (3, 4))),
+        ("delete-edges", "chi"): (True, 4, 2, ((1, 3), (2, 6), (3, 4))),
+    },
+    102: {
+        ("contract", "alpha"): (True, 4, 2, ((0, 1), (4, 7))),
+        ("contract", "omega"): (False, 3, None, None),
+        ("contract", "chi"): (False, 3, None, None),
+        ("delete-vertices", "alpha"): (True, 4, 2, (1, 7)),
+        ("delete-vertices", "omega"): (False, 3, None, None),
+        ("delete-vertices", "chi"): (False, 3, None, None),
+        ("delete-edges", "alpha"): (False, 4, None, None),
+        ("delete-edges", "omega"): (False, 3, None, None),
+        ("delete-edges", "chi"): (False, 3, None, None),
+    },
+    103: {
+        ("contract", "alpha"): (False, 3, None, None),
+        ("contract", "omega"): (True, 4, 2, ((1, 2), (1, 3), (1, 7))),
+        ("contract", "chi"): (True, 4, 2, ((1, 2), (1, 3), (1, 7))),
+        ("delete-vertices", "alpha"): (False, 3, None, None),
+        ("delete-vertices", "omega"): (True, 4, 2, (1, 3)),
+        ("delete-vertices", "chi"): (True, 4, 2, (1, 3)),
+        ("delete-edges", "alpha"): (False, 3, None, None),
+        ("delete-edges", "omega"): (True, 4, 2, ((1, 2), (3, 6), (3, 7))),
+        ("delete-edges", "chi"): (True, 4, 2, ((1, 2), (3, 6), (3, 7))),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ORACLE_TABLES))
+def test_brute_blocker_answers_and_witnesses_pinned(seed):
+    g = random_connected_graph(random.Random(seed), 8, 0.45)
+    table = {}
+    for op, param in PINNED_ORACLE_TABLES[seed]:
+        out = brute_blocker(BlockerQuery(g, op, param, 3, 2))
+        witness = tuple(sorted(out.witness)) if out.witness is not None else None
+        table[op, param] = (out.answer, out.value_before, out.value_after, witness)
+    assert table == PINNED_ORACLE_TABLES[seed]

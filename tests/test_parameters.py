@@ -288,3 +288,65 @@ def test_witness_checks_match_pairwise_definition():
                     assert validate_witness(g, ParameterValue(kind, value, w)) == expected
                     checked[expected] += 1
     assert min(checked.values()) > 500
+
+
+def _greedy_colour_count(g):
+    """Colours used by first-fit in order of decreasing degree, the upper
+    bound ``chi_exact`` starts from."""
+    colour = [0] * g.n
+    for v in sorted(range(g.n), key=lambda v: -g.degree(v)):
+        taken = {colour[w] for w in g.neighbours(v)}
+        colour[v] = min(c for c in range(1, g.n + 1) if c not in taken)
+    return max(colour, default=0)
+
+
+def _groetzsch():
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + 1) % 5) for i in range(5)] + [(5 + i, (i - 1) % 5) for i in range(5)]
+    return Graph(11, edges + [(5 + i, 10) for i in range(5)])
+
+
+# Exact witnesses on _random_graph(Random(seed), n, p) and on two named
+# graphs: alpha and omega as sorted vertex tuples, chi as the colouring (None
+# above chi's ceiling).  Faster solvers must keep every witness.
+PINNED_EXACT = [
+    ((1, 12, 0.3), (2, 4, 5, 7, 10, 11), (2, 8, 9), (2, 1, 2, 2, 3, 1, 1, 2, 3, 1, 3, 2)),
+    ((2, 14, 0.5), (1, 3, 4, 5, 6), (1, 10, 11, 13), (2, 2, 3, 4, 3, 2, 2, 1, 1, 4, 3, 4, 3, 1)),
+    ((3, 16, 0.6), (0, 4, 5, 8), (0, 1, 10, 12, 14), (4, 5, 2, 1, 5, 2, 3, 2, 3, 5, 3, 1, 1, 3, 2, 4)),
+    ((4, 18, 0.4), (1, 2, 3, 7, 8, 12), (0, 1, 4, 10, 14),
+     (3, 5, 1, 4, 1, 2, 1, 1, 5, 3, 4, 3, 4, 2, 2, 2, 3, 5)),
+    ((5, 20, 0.5), (5, 7, 8, 10, 11), (1, 8, 12, 15, 19),
+     (3, 3, 3, 5, 4, 3, 2, 4, 4, 2, 5, 4, 2, 1, 1, 5, 1, 2, 1, 1)),
+    ((6, 20, 0.7), (2, 4, 9, 16), (1, 2, 6, 10, 11, 14, 19),
+     (1, 5, 7, 5, 7, 3, 2, 6, 6, 2, 1, 3, 2, 4, 4, 5, 7, 4, 6, 6)),
+    ((7, 30, 0.3), (2, 6, 7, 11, 13, 20, 22, 23), (4, 17, 21, 22, 25), None),
+    ((8, 35, 0.5), (1, 7, 9, 15, 20, 24, 27), (0, 1, 3, 6, 12, 16, 23), None),
+    ("groetzsch", (5, 6, 7, 8, 9), (5, 10), (1, 2, 1, 2, 3, 4, 2, 3, 2, 3, 1)),
+    ("C7", (0, 2, 4), (0, 1), (1, 2, 1, 2, 1, 2, 3)),
+]
+
+
+def test_exact_witnesses_pinned():
+    greedy_above_omega = greedy_at_omega = 0
+    for key, alpha_wit, omega_wit, colouring in PINNED_EXACT:
+        if key == "groetzsch":
+            g = _groetzsch()
+        elif key == "C7":
+            g = cycle_graph(7)
+        else:
+            seed, n, p = key
+            g = _random_graph(random.Random(seed), n, p)
+        assert tuple(sorted(alpha_exact(g).witness)) == alpha_wit, key
+        omega = omega_exact(g)
+        assert tuple(sorted(omega.witness)) == omega_wit, key
+        if colouring is None:
+            continue
+        chi = chi_exact(g)
+        assert chi.witness == colouring and chi.value == max(colouring), key
+        if _greedy_colour_count(g) > omega.value:
+            greedy_above_omega += 1
+        else:
+            greedy_at_omega += 1
+    # Both exits of chi_exact are pinned: greedy already optimal at the
+    # clique bound, and a search that has to improve on greedy.
+    assert greedy_above_omega and greedy_at_omega
