@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 from .errors import CertificateError, check_capacity
 from .graph import Edge, Graph, bits, contract_edges, to_mask, validate_edge_set
 from .oracle import BlockerQuery, _subset_count, brute_blocker
-from .parameters import alpha_bipartite, bipartite_matching, mu_bipartite
+from .parameters import bipartite_matching, koenig_pair
 from .recognizers import Bipartition, NotInClass, recognize_bipartite, validate_bipartition
 
 MAX_SUPPORTED_D = 3
@@ -130,7 +130,10 @@ def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutc
     if not g.is_connected():
         raise CertificateError("input must be connected")
 
-    alpha = alpha_bipartite(g, cert).value
+    # One matching serves every route: alpha = n - tau (König), and the
+    # matching seeds the tree route's contraction tree.
+    mu, tau = koenig_pair(g, cert)
+    alpha = g.n - tau.value
 
     if g.n <= 2 * d + 1:
         answer = brute_blocker(BlockerQuery(g, "contract", "alpha", k, d))
@@ -140,8 +143,7 @@ def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutc
         return BlockerOutcome(answer.answer, witness, alpha)
 
     if k >= 2 * d + 1:
-        matching = mu_bipartite(g, cert).witness
-        tree = build_contraction_tree(g, matching, d)
+        tree = build_contraction_tree(g, mu.witness, d)
         after = alpha_after_contraction_bipartite(g, tree, cert)
         if after > alpha - d:
             raise CertificateError(

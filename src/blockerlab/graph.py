@@ -113,10 +113,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        g._adj = tuple(full & ~(self._adj[v] | (1 << v)) for v in range(self.n))
-        return g
+        return _from_masks([full & ~(m | 1 << v) for v, m in enumerate(self._adj)])
 
     def connected_components(self) -> list[list[int]]:
         """Vertex lists of the components, ordered by least vertex."""
@@ -135,6 +132,25 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _from_masks(adj: list[int]) -> Graph:
+    """A graph from neighbour masks that are already symmetric and
+    loop-free, without re-checking them."""
+    g = Graph.__new__(Graph)
+    g.n = len(adj)
+    g._adj = tuple(adj)
+    return g
+
+
+def _image(mask: int, new: list[int] | dict[int, int]) -> int:
+    """The mask of ``new[v]`` over the set bits ``v`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << new[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def validate_edge_set(g: Graph, s: Iterable[tuple[int, int]]) -> frozenset[Edge]:
@@ -186,18 +202,24 @@ def contract_edges(
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
 
-    roots = sorted({find(v) for v in range(g.n)})
-    new_id = {r: i for i, r in enumerate(roots)}
-    comp = tuple(new_id[find(v)] for v in range(g.n))
+    # A root is the least vertex of its component, so it is numbered before
+    # the rest of its component, and new numbers follow the order of roots.
+    comp = [0] * g.n
+    count = 0
+    for v in range(g.n):
+        r = find(v)
+        if r == v:
+            comp[v] = count
+            count += 1
+        else:
+            comp[v] = comp[r]
 
-    edges = set()
-    for u in range(g.n):
-        mask = g.adj[u] >> (u + 1) << (u + 1)
-        for v in bits(mask):
-            cu, cv = comp[u], comp[v]
-            if cu != cv:
-                edges.add((cu, cv) if cu < cv else (cv, cu))
-    return Graph(len(roots), edges), comp
+    adj = [0] * count
+    for u, nbrs in enumerate(g.adj):
+        adj[comp[u]] |= _image(nbrs, comp)
+    for c in range(count):
+        adj[c] &= ~(1 << c)
+    return _from_masks(adj), tuple(comp)
 
 
 def delete_vertices(g: Graph, u: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -208,8 +230,11 @@ def delete_vertices(g: Graph, u: Iterable[int]) -> tuple[Graph, dict[int, int]]:
 
 def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
     """Same vertex set, with the edges of ``s`` removed."""
-    s = validate_edge_set(g, s)
-    return Graph(g.n, [e for e in g.edges() if e not in s])
+    adj = list(g.adj)
+    for u, v in validate_edge_set(g, s):
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return _from_masks(adj)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -222,13 +247,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
         bad = keep[0] if keep[0] < 0 else keep[-1]
         raise InvalidVertexError(f"vertex {bad} out of range for n={g.n}")
     remap = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (remap[a], remap[b])
-        for a in keep
-        for b in bits(g.adj[a] >> (a + 1) << (a + 1))
-        if b in remap
-    ]
-    return Graph(len(keep), edges), remap
+    inside = to_mask(keep)
+    return _from_masks([_image(g.adj[old] & inside, remap) for old in keep]), remap
 
 
 def is_forest(g: Graph) -> bool:

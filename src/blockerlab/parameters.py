@@ -36,11 +36,18 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
     best_mask = 0
     best_size = 0
 
-    # Greedy seed: repeatedly take a minimum-degree vertex.
+    # Greedy seed: repeatedly take a minimum-degree vertex, the lowest on ties.
     cand = universe
     seed = 0
     while cand:
-        v = min(bits(cand), key=lambda x: (adj[x] & cand).bit_count())
+        v, low = -1, universe.bit_length()
+        rest = cand
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            deg = (adj[x] & cand).bit_count()
+            if deg < low:
+                v, low = x, deg
         seed |= 1 << v
         cand &= ~(adj[v] | (1 << v))
     best_mask, best_size = seed, seed.bit_count()
@@ -52,8 +59,16 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
         if cand == 0:
             best_mask, best_size = cur, size
             return
-        v = max(bits(cand), key=lambda x: (adj[x] & cand).bit_count())
-        if (adj[v] & cand) == 0:
+        # Branch on a maximum-degree vertex, the lowest on ties.
+        v, high = -1, -1
+        rest = cand
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            deg = (adj[x] & cand).bit_count()
+            if deg > high:
+                v, high = x, deg
+        if high == 0:
             # No edge is left among the candidates, and the bound above
             # says taking them all beats the best so far.
             best_mask, best_size = cur | cand, size + cand.bit_count()
@@ -87,18 +102,21 @@ def chi_exact(g: Graph) -> ParameterValue:
         return ParameterValue("chi", 0, ())
 
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    # Greedy upper bound.
+    # Greedy upper bound: each vertex takes the least colour (bit) its
+    # coloured neighbours leave free; bit 0 stands for "not coloured yet".
     greedy = [0] * g.n
     for v in order:
-        taken = {greedy[w] for w in bits(g.adj[v]) if greedy[w]}
-        c = 1
-        while c in taken:
-            c += 1
-        greedy[v] = c
+        taken = 1
+        for w in bits(g.adj[v]):
+            taken |= 1 << greedy[w]
+        greedy[v] = (~taken & (taken + 1)).bit_length() - 1
     best = max(greedy)
     best_col = list(greedy)
 
     lower = omega_exact(g).value
+    if best == lower:
+        # rec only tries colourings with fewer than best colours.
+        return ParameterValue("chi", best, tuple(best_col))
 
     colour = [0] * g.n
 
