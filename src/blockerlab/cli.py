@@ -48,81 +48,21 @@ def _emit(obj: dict) -> None:
 
 
 def _cmd_param(args) -> int:
-    from .cotree import proper_colouring
-    from .parameters import (
-        ParameterValue,
-        alpha_bipartite,
-        alpha_chordal,
-        alpha_exact,
-        chi_exact,
-        mu_bipartite,
-        omega_exact,
-        tau_from_alpha,
-    )
-    from .recognizers import NotInClass, recognize_bipartite, recognize_chordal, recognize_cograph
+    from .parameters import certified_value
     from .report import base_report, edges_payload, vertices_payload
-
-    def tau(alpha_solver):
-        return lambda g, *cert: tau_from_alpha(g, alpha_solver(g, *cert))
-
-    def chi_cograph(g, cert):
-        return ParameterValue("chi", cert.cotree.chi, proper_colouring(cert.cotree))
 
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
-    kind = args.kind
-    # The dispatch table is local to the handler, like the imports it names.
-    recognisers = {
-        "bipartite": recognize_bipartite,
-        "chordal": recognize_chordal,
-        "cograph": recognize_cograph,
-    }
-    # kind -> (routes, fallback).  A route is (class, solver(g, certificate)),
-    # tried in order; the fallback solver(g) answers when no route applies.
-    # mu is defined on bipartite graphs only, so it has no fallback and takes
-    # its route whatever --class names.
-    routes, fallback = {
-        "alpha": ((("bipartite", alpha_bipartite), ("chordal", alpha_chordal)), alpha_exact),
-        "tau": (
-            (("bipartite", tau(alpha_bipartite)), ("chordal", tau(alpha_chordal))),
-            tau(alpha_exact),
-        ),
-        "chi": ((("cograph", chi_cograph),), chi_exact),
-        "mu": ((("bipartite", mu_bipartite),), None),
-        "omega": ((), omega_exact),
-    }[kind]
-    certs: dict = {}
-
-    def cert_of(klass):
-        # Recognise lazily, at most once per class.
-        if klass not in certs:
-            cert = recognisers[klass](g)
-            certs[klass] = None if isinstance(cert, NotInClass) else cert
-        return certs[klass]
-
-    # An explicitly requested class must hold even when no route uses it.
-    if args.klass != "auto" and cert_of(args.klass) is None:
-        raise GraphFormatError(f"graph is not {args.klass}: required by --class")
-    for klass, solve in routes:
-        if klass == "cograph" and g.n == 0:
-            continue  # no cotree; the fallback answers the 0-vertex graph
-        if (fallback is None or args.klass in ("auto", klass)) and cert_of(klass) is not None:
-            pv, used = solve(g, certs[klass]), klass
-            break
-    else:
-        if fallback is None:
-            raise GraphFormatError(f"graph is not {routes[0][0]}: required by --kind {kind}")
-        pv, used = fallback(g), "general"
-
+    pv, used = certified_value(g, args.kind, args.klass)
     report = base_report("param", digest, time.perf_counter() - start)
-    if kind in ("alpha", "omega", "tau"):
+    if pv.kind in ("alpha", "omega", "tau"):
         witness = {"vertices": vertices_payload(pv.witness)}
-    elif kind == "mu":
+    elif pv.kind == "mu":
         witness = {"edges": edges_payload(pv.witness)}
     else:
         witness = {"colouring": list(pv.witness)}
     report.update(
-        {"kind": kind, "graph_class": used, "value": pv.value, "witness": witness}
+        {"kind": pv.kind, "graph_class": used, "value": pv.value, "witness": witness}
     )
     _emit(report)
     return EXIT_YES

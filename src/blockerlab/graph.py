@@ -224,8 +224,7 @@ def contract_edges(
 
 def delete_vertices(g: Graph, u: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on ``V - u`` plus the old->new reindexing map."""
-    u = validate_vertex_set(g, u)
-    return induced_subgraph(g, [v for v in range(g.n) if v not in u])
+    return _induced(g, ((1 << g.n) - 1) & ~to_mask(validate_vertex_set(g, u)))
 
 
 def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
@@ -242,12 +241,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 
     New indices follow the sorted order of the kept vertices.
     """
-    keep = sorted(set(vertices))
-    if keep and (keep[0] < 0 or keep[-1] >= g.n):
-        bad = keep[0] if keep[0] < 0 else keep[-1]
-        raise InvalidVertexError(f"vertex {bad} out of range for n={g.n}")
+    return _induced(g, to_mask(validate_vertex_set(g, vertices)))
+
+
+def _induced(g: Graph, inside: int) -> tuple[Graph, dict[int, int]]:
+    keep = list(bits(inside))
     remap = {old: new for new, old in enumerate(keep)}
-    inside = to_mask(keep)
     return _from_masks([_image(g.adj[old] & inside, remap) for old in keep]), remap
 
 

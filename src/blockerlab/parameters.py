@@ -1,22 +1,33 @@
-"""Exact graph parameters with certifying witnesses.
+"""Exact graph parameters with certifying witnesses, and the one route table.
 
 Every routine returns a :class:`ParameterValue` whose witness certifies the
 value independently of the solver that produced it: an independent set for
 alpha, a clique for omega, a proper colouring for chi, a matching for mu and
 a vertex cover for tau.  The general solvers are branch and bound over
-bitmasks; the bipartite and chordal specialisations are polynomial and are
-cross-checked against the exact solvers in the test suite.
+bitmasks, with size ceilings.  The class routes are polynomial and prove
+their value with two validated witnesses of one size (:func:`certify_pair`):
+König's matching and vertex cover on bipartite graphs, an independent set and
+a clique cover along a perfect elimination order on chordal graphs (Gavril),
+and a cotree clique and colouring on cographs.  :func:`certified_value` picks
+the route; ``param`` and ``verify`` both call it.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Union
 
-from .errors import CertificateError, check_capacity
+from .cotree import CotreeLeaf, proper_colouring
+from .errors import CertificateError, GraphFormatError, check_capacity
 from .graph import Edge, Graph, bits, to_mask
 from .recognizers import (
     Bipartition,
+    CotreeCertificate,
     EliminationOrder,
+    NotInClass,
+    recognize_bipartite,
+    recognize_chordal,
+    recognize_cograph,
     validate_bipartition,
     validate_elimination_order,
 )
@@ -26,9 +37,9 @@ CHI_VERTEX_CEILING = 20
 
 
 class ParameterValue(NamedTuple):
-    kind: str  # alpha | omega | chi | mu | tau
+    kind: str  # alpha | omega | chi | mu | tau, or theta: a clique cover (upper bound on alpha)
     value: int
-    witness: Union[frozenset[int], frozenset[Edge], tuple[int, ...]]
+    witness: Union[frozenset[int], frozenset[Edge], tuple[int, ...], tuple[frozenset[int], ...]]
 
 
 def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
@@ -204,10 +215,49 @@ def koenig_pair(g: Graph, cert: Bipartition) -> tuple[ParameterValue, ParameterV
     validate_bipartition(g, cert)
     mate, cover = bipartite_matching(g.adj, to_mask(cert.left), to_mask(cert.right))
     edges = frozenset((u, v) for u, v in mate.items() if u < v)
-    if cover.bit_count() != len(edges):
-        raise CertificateError(f"König cover of {cover.bit_count()}, matching of {len(edges)}")
-    tau = ParameterValue("tau", len(edges), frozenset(bits(cover)))
-    return ParameterValue("mu", len(edges), edges), tau
+    mu = ParameterValue("mu", len(edges), edges)
+    return certify_pair(g, mu, ParameterValue("tau", cover.bit_count(), frozenset(bits(cover))))
+
+
+def cograph_pair(g: Graph, cert: CotreeCertificate) -> tuple[ParameterValue, ParameterValue]:
+    """A maximum clique and a minimum colouring of one size, from the cotree.
+
+    Cographs are perfect, so a node's chromatic number is also its clique
+    number: the clique takes both children of a join and the child with the
+    larger chromatic number at a union.
+    """
+    t = cert.cotree
+    chi = t.stats().chi
+    clique, stack = 0, [t.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, CotreeLeaf):
+            clique |= 1 << node.vertex
+        elif node.label == 1:
+            stack += (node.left, node.right)
+        else:
+            stack.append(max(node.left, node.right, key=lambda c: chi[c.index]))
+    colouring = proper_colouring(t)
+    omega = ParameterValue("omega", clique.bit_count(), frozenset(bits(clique)))
+    return certify_pair(g, omega, ParameterValue("chi", len(set(colouring)), colouring))
+
+
+def certify_pair(
+    g: Graph, low: ParameterValue, high: ParameterValue
+) -> tuple[ParameterValue, ParameterValue]:
+    """Check a lower-bound and an upper-bound witness of one size.
+
+    ``low`` is an independent set, a clique or a matching, ``high`` a clique
+    cover, a proper colouring or a vertex cover.  On every graph alpha <=
+    theta, omega <= chi and mu <= tau, so two valid witnesses of one size pin
+    both values.  Returns the pair; raises :class:`CertificateError`.
+    """
+    for pv in (low, high):
+        if not validate_witness(g, pv):
+            raise CertificateError(f"{pv.kind} witness does not certify {pv.value}")
+    if low.value != high.value:
+        raise CertificateError(f"{low.kind} of {low.value}, {high.kind} of {high.value}")
+    return low, high
 
 
 def mu_bipartite(g: Graph, cert: Bipartition) -> ParameterValue:
@@ -222,15 +272,23 @@ def alpha_bipartite(g: Graph, cert: Bipartition) -> ParameterValue:
 
 
 def alpha_chordal(g: Graph, cert: EliminationOrder) -> ParameterValue:
-    """Greedy along a perfect elimination order is maximum on chordal graphs."""
+    """Greedy along a perfect elimination order is maximum on chordal graphs.
+
+    Each chosen vertex with its later neighbours is a clique, and these
+    cliques cover the graph (Gavril 1972), so they prove the greedy set
+    maximum.
+    """
     validate_elimination_order(g, cert)
-    chosen: set[int] = set()
-    blocked = 0
+    chosen, cliques = [], []
+    blocked = done = 0
     for v in cert.order:
+        done |= 1 << v
         if not blocked >> v & 1:
-            chosen.add(v)
+            chosen.append(v)
             blocked |= g.adj[v] | (1 << v)
-    return ParameterValue("alpha", len(chosen), frozenset(chosen))
+            cliques.append(frozenset(bits(g.adj[v] & ~done)) | {v})
+    alpha = ParameterValue("alpha", len(chosen), frozenset(chosen))
+    return certify_pair(g, alpha, ParameterValue("theta", len(cliques), tuple(cliques)))[0]
 
 
 def tau_from_alpha(g: Graph, a: ParameterValue) -> ParameterValue:
@@ -255,6 +313,12 @@ def validate_witness(g: Graph, pv: ParameterValue) -> bool:
         # A vertex cover leaves no edge with both ends outside it.
         outside = ((1 << g.n) - 1) & ~inside
         return not any(g.adj[v] & outside for v in bits(outside))
+    if pv.kind == "theta":
+        # Cliques, possibly overlapping, whose union is the vertex set.
+        cliques = [ParameterValue("omega", len(c), c) for c in pv.witness]
+        if len(cliques) != pv.value or not all(validate_witness(g, c) for c in cliques):
+            return False
+        return to_mask(v for c in pv.witness for v in c) == (1 << g.n) - 1
     if pv.kind == "chi":
         col = pv.witness
         if len(col) != g.n or len(set(col)) > pv.value:
@@ -266,3 +330,46 @@ def validate_witness(g: Graph, pv: ParameterValue) -> bool:
             return False
         return all(0 <= v < g.n for v in ends) and all(g.has_edge(u, v) for u, v in pv.witness)
     raise ValueError(f"unknown parameter kind {pv.kind!r}")
+
+
+def certified_value(g: Graph, kind: str, klass: str = "auto") -> tuple[ParameterValue, str]:
+    """The value of ``kind`` on ``g`` and the route that gave it.
+
+    A class route answers when ``g`` is in the class (recognised lazily, at
+    most once) and ``klass`` is "auto" or names it.  Otherwise the exact
+    solver answers, as route "general"; mu has none, so it takes its class
+    route whatever ``klass`` names.  A named ``klass`` must hold even when no
+    route of ``kind`` uses it, or :class:`GraphFormatError` is raised.
+    """
+
+    # Built per call, so a name that a tracer rebinds in this module is seen.
+    def tau(alpha_solver):
+        return lambda g, *cert: tau_from_alpha(g, alpha_solver(g, *cert))
+
+    recognisers = {
+        "bipartite": recognize_bipartite,
+        "chordal": recognize_chordal,
+        # The 0-vertex graph has no cotree; the fallback answers it.
+        "cograph": lambda g: recognize_cograph(g) if g.n else NotInClass("0 vertices", ()),
+    }
+    # kind -> (routes, fallback); a route is (class, solver(g, certificate)).
+    routes, fallback = {
+        "alpha": ((("bipartite", alpha_bipartite), ("chordal", alpha_chordal)), alpha_exact),
+        "tau": (
+            (("bipartite", tau(alpha_bipartite)), ("chordal", tau(alpha_chordal))),
+            tau(alpha_exact),
+        ),
+        "omega": ((("cograph", lambda g, cert: cograph_pair(g, cert)[0]),), omega_exact),
+        "chi": ((("cograph", lambda g, cert: cograph_pair(g, cert)[1]),), chi_exact),
+        "mu": ((("bipartite", mu_bipartite),), None),
+    }[kind]
+    cert_of = cache(lambda name: recognisers[name](g))
+    if klass != "auto" and isinstance(cert_of(klass), NotInClass):
+        raise GraphFormatError(f"graph is not {klass}: {cert_of(klass).reason}")
+    for name, solve in routes:
+        if fallback is None or klass in ("auto", name):
+            if not isinstance(cert_of(name), NotInClass):
+                return solve(g, cert_of(name)), name
+    if fallback is None:
+        raise GraphFormatError(f"graph is not {routes[0][0]}: {cert_of(routes[0][0]).reason}")
+    return fallback(g), "general"

@@ -1,12 +1,14 @@
 """Run reports and their independent verification.
 
 Every answering subcommand emits a JSON report (schema in
-``docs/report_schema.json``).  :func:`verify_report` recomputes the claim
-from the witness using only the graph operations and the exact parameter
-solvers, so a verified yes answer does not depend on the solver that produced
-it.  On a bipartite graph alpha, mu and tau come from a matching and a vertex
-cover of one size instead, and on a cograph omega and chi from a cotree
-clique and colouring of one size.  Each verifier imports those solvers
+``docs/report_schema.json``).  :func:`verify_report` re-validates the
+report's witness and recomputes every claimed value with
+``parameters.certified_value``, the table ``param`` answers from.  On a
+bipartite, chordal or cograph input that value is proved by two validated
+witnesses of one size, at any size; elsewhere it comes from an exact solver,
+which refuses (exit 3) above its size ceiling.  A blocker witness is
+re-applied with the graph operations, so a verified yes answer does not
+depend on the solver that produced it.  Each verifier imports the solvers
 itself, so a process that only writes a report loads none of them.
 """
 
@@ -16,7 +18,7 @@ import hashlib
 import json
 from typing import Optional
 
-from .errors import CapacityExceededError, CertificateError, NotACographError
+from .errors import CapacityExceededError
 from .graph import Graph
 
 SCHEMA_VERSION = 1
@@ -76,7 +78,8 @@ def _integer_complaint(report: dict, *fields: tuple[str, int]) -> Optional[str]:
 
 
 def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
-    from .oracle import apply_operation, parameter_value
+    from .oracle import OPERATIONS, PARAMETERS, apply_operation
+    from .parameters import certified_value
 
     if report["answer"] not in ("yes", "no"):
         return False, f"answer must be 'yes' or 'no', got {report['answer']!r}"
@@ -87,7 +90,11 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
         return False, complaint
     parameter = report["parameter"]
     operation = report["operation"]
-    before = parameter_value(g, parameter)
+    if parameter not in PARAMETERS:
+        return False, f"parameter must be one of {', '.join(PARAMETERS)}, got {parameter!r}"
+    if operation not in OPERATIONS:
+        return False, f"unknown operation {operation!r}"
+    before = certified_value(g, parameter)[0].value
     if report.get("value_before") is not None and report["value_before"] != before:
         return False, f"reported before-value {report['value_before']}, recomputed {before}"
     if report["answer"] == "no":
@@ -96,11 +103,8 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
     size = len(witness.get("edges", [])) + len(witness.get("vertices", []))
     if size > report["k"]:
         return False, f"witness has {size} elements, budget k={report['k']}"
-    if operation == "delete-vertices":
-        chosen = witness["vertices"]
-    else:
-        chosen = [tuple(e) for e in witness["edges"]]
-    after = parameter_value(apply_operation(g, operation, chosen), parameter)
+    chosen = witness["vertices"] if operation == "delete-vertices" else witness["edges"]
+    after = certified_value(apply_operation(g, operation, chosen), parameter)[0].value
     if report.get("value_after") is not None and report["value_after"] != after:
         return False, f"reported after-value {report['value_after']}, recomputed {after}"
     if after > before - report["d"]:
@@ -109,8 +113,7 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
 
 
 def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
-    from .parameters import ParameterValue, koenig_pair, validate_witness
-    from .recognizers import NotInClass, recognize_bipartite
+    from .parameters import ParameterValue, certified_value, validate_witness
 
     complaint = _integer_complaint(report, ("value", 0))
     if complaint:
@@ -122,40 +125,17 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
         wit = frozenset(witness["vertices"])
     elif kind == "mu":
         wit = frozenset(tuple(e) for e in witness["edges"])
-    else:
+    elif kind == "chi":
         wit = tuple(witness["colouring"])
+    else:
+        return False, f"unknown parameter kind {kind!r}"
     pv = ParameterValue(kind, value, wit)
     if not validate_witness(g, pv):
         return False, "witness does not certify the reported value"
-    exact = None
-    if kind in ("alpha", "mu", "tau"):
-        cert = recognize_bipartite(g)
-        if not isinstance(cert, NotInClass):
-            # |M| <= mu <= tau <= |cover| on any graph, so equal sizes pin
-            # mu and tau, and alpha = n - tau, without an exhaustive solver.
-            matching, cover = koenig_pair(g, cert)
-            if not (validate_witness(g, matching) and validate_witness(g, cover)):
-                raise CertificateError("matching and vertex cover do not certify each other")
-            exact = g.n - cover.value if kind == "alpha" else cover.value
-        elif kind == "mu":
-            # König's mu = n - alpha holds on bipartite graphs only.
-            return False, f"mu is verified on bipartite graphs only; odd cycle {list(cert.witness)}"
-    if kind in ("omega", "chi") and g.n:
-        try:
-            # Cographs are perfect, so the cotree certifies omega = chi at any size.
-            exact = _cograph_chi(g)
-        except NotACographError:
-            pass
-    if exact is None:
-        from .oracle import parameter_value
-
-        if kind in ("alpha", "omega", "chi"):
-            exact = parameter_value(g, kind)
-        else:  # tau = n - alpha
-            exact = g.n - parameter_value(g, "alpha")
-    if value != exact:
-        return False, f"reported {kind}={value}, recomputed {exact}"
-    return True, f"{kind}={value} certified"
+    exact, route = certified_value(g, kind)
+    if value != exact.value:
+        return False, f"reported {kind}={value}, recomputed {exact.value} ({route} route)"
+    return True, f"{kind}={value} certified ({route} route)"
 
 
 def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
@@ -174,7 +154,9 @@ def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
     if mode == "fixed-h":
         limit = report["h"]
     else:
-        chi = _cograph_chi(g)
+        from .parameters import certified_value
+
+        chi = certified_value(g, "chi", "cograph")[0].value
         if report.get("chi") is not None and report["chi"] != chi:
             return False, f"reported chi {report['chi']}, recomputed {chi}"
         limit = chi - report["d"]
@@ -190,35 +172,6 @@ def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
     if deleted != mono:
         return False, "deleted_edges do not match the monochromatic edges"
     return True, f"colouring certified with {len(mono)} monochromatic edges"
-
-
-def _cograph_chi(g: Graph) -> int:
-    """Chi of a cograph, certified by a clique and a proper colouring of one size.
-
-    Both come from the cotree, so no exhaustive solver and its size ceiling
-    is involved: a node's largest clique is its larger child's at a union and
-    both children's together at a join.  Cographs are perfect, so the
-    cotree's proper colouring uses exactly that many colours.
-    """
-    from .cotree import CotreeLeaf, build_cotree, proper_colouring
-    from .parameters import ParameterValue, validate_witness
-
-    t = build_cotree(g)
-    cliques: list[tuple[int, ...]] = [()] * len(t.postorder)
-    for node in t.postorder:
-        if isinstance(node, CotreeLeaf):
-            cliques[node.index] = (node.vertex,)
-        else:
-            left, right = cliques[node.left.index], cliques[node.right.index]
-            cliques[node.index] = left + right if node.label == 1 else max(left, right, key=len)
-    root = cliques[t.root.index]
-    clique = ParameterValue("omega", len(root), frozenset(root))
-    colouring = ParameterValue("chi", clique.value, proper_colouring(t))
-    if not validate_witness(g, clique):
-        raise CertificateError("clique witness is not a clique")
-    if not validate_witness(g, colouring):
-        raise CertificateError(f"no proper colouring with {clique.value} colours")
-    return clique.value
 
 
 def load_report(text: str) -> dict:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from blockerlab import cli, recognizers
-from blockerlab.catalogue import random_connected_bipartite
+from blockerlab.catalogue import random_chordal, random_connected_bipartite
 from blockerlab.cli import main
 from blockerlab.cotree import parse_cotree_sexpr, realize_cotree
 from blockerlab.graph import (
@@ -72,12 +72,12 @@ PARAM_TABLE = {
     ("p4", "mu"): ("bipartite:2", "bipartite:2", "bipartite:2", "exit 2"),
     ("p4", "tau"): ("bipartite:2", "bipartite:2", "chordal:2", "exit 2"),
     ("c4", "alpha"): ("bipartite:2", "bipartite:2", "exit 2", "general:2"),
-    ("c4", "omega"): ("general:2", "general:2", "exit 2", "general:2"),
+    ("c4", "omega"): ("cograph:2", "general:2", "exit 2", "cograph:2"),
     ("c4", "chi"): ("cograph:2", "general:2", "exit 2", "cograph:2"),
     ("c4", "mu"): ("bipartite:2", "bipartite:2", "exit 2", "bipartite:2"),
     ("c4", "tau"): ("bipartite:2", "bipartite:2", "exit 2", "general:2"),
     ("k4", "alpha"): ("chordal:1", "exit 2", "chordal:1", "general:1"),
-    ("k4", "omega"): ("general:4", "exit 2", "general:4", "general:4"),
+    ("k4", "omega"): ("cograph:4", "exit 2", "general:4", "cograph:4"),
     ("k4", "chi"): ("cograph:4", "exit 2", "general:4", "cograph:4"),
     ("k4", "mu"): ("exit 2", "exit 2", "exit 2", "exit 2"),
     ("k4", "tau"): ("chordal:3", "exit 2", "chordal:3", "general:3"),
@@ -303,9 +303,54 @@ def test_verify_bipartite_param_report_above_alpha_exact_ceiling(capsys, tmp_pat
         assert code == 1 and not json.loads(verdict)["valid"]
 
 
+# Above the exact solvers' 40-vertex ceiling: a 60-vertex chordal graph and
+# a 50-vertex threshold chain (a cograph with omega 26).
+CLASS_ROUTE_GRAPHS = {
+    "chordal60": random_chordal(random.Random(60), 60),
+    "chain50": Graph(50, [(u, v) for v in range(1, 50, 2) for u in range(v)]),
+}
+
+
+@pytest.mark.parametrize("graph_name, kind, route", [
+    ("chordal60", "alpha", "chordal"),
+    ("chordal60", "tau", "chordal"),
+    ("chain50", "omega", "cograph"),
+])
+def test_class_route_param_reports_verify_above_the_ceiling(capsys, tmp_path, graph_name,
+                                                            kind, route):
+    graph_file = tmp_path / f"{graph_name}.graph"
+    graph_file.write_text(format_graph(CLASS_ROUTE_GRAPHS[graph_name]))
+    code, out = _run(capsys, "param", "--kind", kind, str(graph_file))
+    report = json.loads(out)
+    assert code == 0 and report["graph_class"] == route
+    report_file = tmp_path / "report.json"
+    report_file.write_text(out)
+    code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
+    assert code == 0 and json.loads(verdict)["valid"], verdict
+    # One element short: a smaller witness, or for tau no cover at all.
+    vertices = report["witness"]["vertices"]
+    report_file.write_text(json.dumps(dict(report, value=report["value"] - 1,
+                                           witness={"vertices": vertices[1:]})))
+    code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
+    assert code == 1 and not json.loads(verdict)["valid"]
+
+
+def test_verify_blocker_report_on_a_path_above_the_ceiling(capsys, tmp_path):
+    # P_60 and each contraction of it are paths: König certifies both values.
+    graph_file = tmp_path / "p60.graph"
+    graph_file.write_text(format_graph(path_graph(60)))
+    code, out = _run(capsys, "blocker", "-k", "5", "-d", "2", str(graph_file))
+    assert code == 0 and json.loads(out)["answer"] == "yes"
+    report_file = tmp_path / "blocker.json"
+    report_file.write_text(out)
+    code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
+    assert code == 0 and json.loads(verdict)["valid"], verdict
+
+
 def test_verify_refusal_exits_3_not_invalid(capsys, tmp_path):
-    # Checking the blocker's before-value on 50 vertices needs alpha_exact
-    # (n <= 40): that is a refusal, not a rejection.
+    # König certifies the before-value on 50 vertices, but the contracted
+    # graph's 45 vertices leave every class and need alpha_exact (n <= 40):
+    # that is a refusal, not a rejection.
     graph_file = _bipartite_file(tmp_path, 50)
     code, out = _run(capsys, "blocker", "-k", "5", "-d", "2", graph_file)
     assert code == 0 and json.loads(out)["answer"] == "yes"
@@ -314,7 +359,7 @@ def test_verify_refusal_exits_3_not_invalid(capsys, tmp_path):
     code = main(["verify", str(report_file), graph_file])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert "capacity exceeded: 50 vertices exceed the budget of 40" in captured.err
+    assert "capacity exceeded: 45 vertices exceed the budget of 40" in captured.err
 
 
 def test_reduce_sat2chordal(capsys, tmp_path):

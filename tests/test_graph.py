@@ -130,6 +130,16 @@ def test_delete_vertices_rejects_out_of_range():
             induced_subgraph(path_graph(3), bad)
 
 
+def test_delete_vertices_repeated_and_out_of_range():
+    # C5 less 1 and 3 keeps 0, 2, 4 and the edge 4-0.
+    g, remap = delete_vertices(cycle_graph(5), [3, 1, 3])
+    assert remap == {0: 0, 2: 1, 4: 2}
+    assert g == Graph(3, [(0, 2)])
+    for bad, named in (([1, 1, 5], 5), ([-1, 3, 3], -1)):
+        with pytest.raises(InvalidVertexError, match=f"vertex {named} out of range for n=5"):
+            delete_vertices(cycle_graph(5), bad)
+
+
 def test_induced_subgraph_keeps_sorted_order():
     g, remap = induced_subgraph(cycle_graph(5), [4, 0, 2, 0])
     assert remap == {0: 0, 2: 1, 4: 2}

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from blockerlab import parameters
 from blockerlab.catalogue import graph_catalogue, random_chordal, random_connected_bipartite
 from blockerlab.errors import CapacityExceededError, CertificateError
 from blockerlab.graph import (
@@ -21,13 +22,15 @@ from blockerlab.parameters import (
     alpha_chordal,
     alpha_exact,
     bipartite_matching,
+    certified_value,
     chi_exact,
     mu_bipartite,
     omega_exact,
     tau_from_alpha,
     validate_witness,
 )
-from blockerlab.recognizers import recognize_bipartite, recognize_chordal
+from blockerlab.recognizers import EliminationOrder, recognize_bipartite, recognize_chordal
+from blockerlab.report import verify_report
 
 
 def _random_graph(rng, n, p=0.5):
@@ -164,6 +167,82 @@ def test_invalid_certificates_rejected():
         mu_bipartite(g, Bipartition(frozenset({0, 1}), frozenset({2})))
     with pytest.raises(CertificateError):
         tau_from_alpha(g, mu_bipartite(cycle_graph(4), recognize_bipartite(cycle_graph(4))))
+
+
+def test_class_routes_agree_with_exact_solvers():
+    # Each class route, asked for by name, on every connected member of its
+    # class with n <= 7 (mu = n - alpha by König).
+    routes = {"bipartite": ("alpha", "mu", "tau"), "chordal": ("alpha", "tau"),
+              "cograph": ("omega", "chi")}
+    for klass, kinds in routes.items():
+        for g in graph_catalogue(klass, 7):
+            alpha = alpha_exact(g).value
+            exact = {"alpha": alpha, "tau": g.n - alpha, "mu": g.n - alpha,
+                     "omega": omega_exact(g).value, "chi": chi_exact(g).value}
+            for kind in kinds:
+                pv, route = certified_value(g, kind, klass)
+                assert route == klass and pv.kind == kind and pv.value == exact[kind]
+                assert validate_witness(g, pv)
+
+
+def test_clique_cover_witness(paw):
+    for cliques, value, ok in [
+        (({0, 1, 2}, {2, 3}), 2, True),
+        (({0, 1}, {2, 3}), 2, True),
+        (({0, 1}, {3}), 2, False),  # 2 is not covered
+        (({0, 1, 3}, {2}), 2, False),  # 0-3 is not an edge
+        (({0, 1, 2}, {2, 3}), 3, False),  # two cliques, not three
+        (({0, 1, 2}, {3, 4}), 2, False),  # 4 is not a vertex
+    ]:
+        pv = ParameterValue("theta", value, tuple(frozenset(c) for c in cliques))
+        assert validate_witness(paw, pv) is ok
+
+
+def _cover_one_vertex_short(matching):
+    def short(adj, left, right):
+        mate, cover = matching(adj, left, right)
+        return mate, cover & (cover - 1)
+
+    return short
+
+
+def _one_colour_too_few(colouring):
+    return lambda t: tuple(1 if c == t.chi else c for c in colouring(t))
+
+
+# Each mutation breaks one witness of a class route's pair.  The route must
+# raise CertificateError, and a correct report checked against it must not
+# read as valid.
+MUTATIONS = {
+    "koenig-cover-one-short": (
+        {"bipartite_matching": _cover_one_vertex_short(bipartite_matching)},
+        path_graph(6), "mu", {"edges": [[0, 1], [2, 3], [4, 5]]}, 3,
+    ),
+    "cotree-colouring-one-colour-too-few": (
+        {"proper_colouring": _one_colour_too_few(parameters.proper_colouring)},
+        complete_graph(4), "chi", {"colouring": [1, 2, 3, 4]}, 4,
+    ),
+    # An order that skips 0 and 1 leaves them outside every clique.
+    "clique-cover-missing-a-vertex": (
+        {"recognize_chordal": lambda g: EliminationOrder((3, 2)),
+         "validate_elimination_order": lambda g, cert: None},
+        Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), "alpha", {"vertices": [0, 3]}, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_route_rejects_a_mutated_certificate(monkeypatch, name):
+    patches, g, kind, witness, value = MUTATIONS[name]
+    report = {"subcommand": "param", "kind": kind, "value": value, "witness": witness}
+    ok, detail = verify_report(report, g)
+    assert ok, detail
+    for attr, fake in patches.items():
+        monkeypatch.setattr(parameters, attr, fake)
+    with pytest.raises(CertificateError):
+        certified_value(g, kind)
+    ok, detail = verify_report(report, g)
+    assert not ok and "verification error" in detail
 
 
 def test_mu_witness_is_a_matching():

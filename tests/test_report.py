@@ -74,9 +74,11 @@ def test_no_answers_are_vacuously_valid(k4):
         ({"value_before": 2.0, "value_after": 1.0}, "value_before must be"),
         ({"answer": "no", "witness": None, "value_before": "2", "value_after": None},
          "value_before must be"),
+        ({"parameter": "tau"}, "parameter must be one of alpha, omega, chi, got 'tau'"),
+        ({"parameter": "mu", "answer": "no"}, "parameter must be one of alpha, omega, chi"),
     ],
     ids=["maybe", "null-answer", "d-zero", "d-float", "d-bool", "k-negative", "k-string",
-         "after-bool", "values-float", "no-before-string"],
+         "after-bool", "values-float", "no-before-string", "tau", "mu-no"],
 )
 def test_blocker_report_outside_the_schema_rejected(overrides, complaint):
     # P4 has alpha 2; contracting both end edges leaves one edge, alpha 1.
