@@ -204,21 +204,19 @@ def contract_edges(
 
     # A root is the least vertex of its component, so it is numbered before
     # the rest of its component, and new numbers follow the order of roots.
+    # merged[c] is the union of the old neighbour masks of component c.
     comp = [0] * g.n
-    count = 0
-    for v in range(g.n):
+    merged: list[int] = []
+    for v, nbrs in enumerate(g.adj):
         r = find(v)
         if r == v:
-            comp[v] = count
-            count += 1
+            comp[v] = len(merged)
+            merged.append(nbrs)
         else:
-            comp[v] = comp[r]
+            comp[v] = c = comp[r]
+            merged[c] |= nbrs
 
-    adj = [0] * count
-    for u, nbrs in enumerate(g.adj):
-        adj[comp[u]] |= _image(nbrs, comp)
-    for c in range(count):
-        adj[c] &= ~(1 << c)
+    adj = [_image(m, comp) & ~(1 << c) for c, m in enumerate(merged)]
     return _from_masks(adj), tuple(comp)
 
 

@@ -6,10 +6,11 @@ alpha, a clique for omega, a proper colouring for chi, a matching for mu and
 a vertex cover for tau.  The general solvers are branch and bound over
 bitmasks, with size ceilings.  The class routes are polynomial and prove
 their value with two validated witnesses of one size (:func:`certify_pair`):
-König's matching and vertex cover on bipartite graphs, an independent set and
-a clique cover along a perfect elimination order on chordal graphs (Gavril),
-and a cotree clique and colouring on cographs.  :func:`certified_value` picks
-the route; ``param`` and ``verify`` both call it.
+König's matching and vertex cover, and an edge with the two sides as a
+colouring, on bipartite graphs; an independent set and a clique cover along a
+perfect elimination order on chordal graphs (Gavril); and a cotree clique and
+colouring on cographs.  :func:`certified_value` picks the route; ``param`` and
+``verify`` both call it.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ class ParameterValue(NamedTuple):
 
 
 def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
-    """Branch and bound for a maximum independent set inside ``universe``."""
-    best_mask = 0
-    best_size = 0
-
+    """A maximum independent set inside ``universe``: a greedy seed, proved
+    maximum by a greedy clique cover of its size when there is one, else
+    improved by branch and bound."""
     # Greedy seed: repeatedly take a minimum-degree vertex, the lowest on ties.
     cand = universe
     seed = 0
@@ -62,6 +62,22 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
         seed |= 1 << v
         cand &= ~(adj[v] | (1 << v))
     best_mask, best_size = seed, seed.bit_count()
+
+    # Primal-dual exit: a greedy clique cover of ``universe`` (the lowest
+    # vertex left, then its common neighbours, lowest first) with as many
+    # cliques as the seed has vertices proves the seed maximum, since alpha
+    # <= theta.  rec only ever replaces the best with a strictly larger set,
+    # so it would return the seed too.
+    rest, cliques = universe, 0
+    while rest and cliques < best_size:
+        grow = rest
+        while grow:
+            low = grow & -grow
+            rest ^= low
+            grow &= adj[low.bit_length() - 1]
+        cliques += 1
+    if not rest:
+        return best_mask
 
     def rec(cand: int, cur: int, size: int) -> None:
         nonlocal best_mask, best_size
@@ -92,14 +108,20 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
 
 
 def alpha_exact(g: Graph) -> ParameterValue:
-    """Maximum independent set by branch and bound."""
+    """Maximum independent set: a greedy set, returned as soon as a greedy
+    clique cover of the same size proves it maximum, else branch and bound."""
     check_capacity(g.n, "vertices", ALPHA_OMEGA_VERTEX_CEILING)
     mask = _max_independent_mask(g.adj, (1 << g.n) - 1)
     return ParameterValue("alpha", mask.bit_count(), frozenset(bits(mask)))
 
 
 def omega_exact(g: Graph) -> ParameterValue:
-    """Maximum clique, as an independent set of the complement."""
+    """Maximum clique, as an independent set of the complement.
+
+    A clique cover of the complement is a colouring of ``g``, so a greedy
+    clique is returned at once when a greedy colouring with as many colours
+    proves it maximum; otherwise branch and bound decides.
+    """
     check_capacity(g.n, "vertices", ALPHA_OMEGA_VERTEX_CEILING)
     comp = g.complement()
     mask = _max_independent_mask(comp.adj, (1 << g.n) - 1)
@@ -107,22 +129,30 @@ def omega_exact(g: Graph) -> ParameterValue:
 
 
 def chi_exact(g: Graph) -> ParameterValue:
-    """Chromatic number by branch and bound over colour assignments."""
+    """Chromatic number: a first-fit colouring in order of decreasing degree,
+    returned when it uses omega colours, else branch and bound over colour
+    assignments.  The lower bound omega usually comes from
+    :func:`omega_exact`'s cover exit, without a search."""
     check_capacity(g.n, "vertices", CHI_VERTEX_CEILING)
     if g.n == 0:
         return ParameterValue("chi", 0, ())
 
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    # Greedy upper bound: each vertex takes the least colour (bit) its
-    # coloured neighbours leave free; bit 0 stands for "not coloured yet".
-    greedy = [0] * g.n
+    adj = g.adj
+    order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
+    # Greedy upper bound: each vertex joins the first colour class (a vertex
+    # mask) that holds none of its neighbours, or opens a new one.
+    best_col = [0] * g.n
+    classes: list[int] = []
     for v in order:
-        taken = 1
-        for w in bits(g.adj[v]):
-            taken |= 1 << greedy[w]
-        greedy[v] = (~taken & (taken + 1)).bit_length() - 1
-    best = max(greedy)
-    best_col = list(greedy)
+        for c, members in enumerate(classes):
+            if not members & adj[v]:
+                classes[c] = members | 1 << v
+                best_col[v] = c + 1
+                break
+        else:
+            classes.append(1 << v)
+            best_col[v] = len(classes)
+    best = len(classes)
 
     lower = omega_exact(g).value
     if best == lower:
@@ -242,6 +272,20 @@ def cograph_pair(g: Graph, cert: CotreeCertificate) -> tuple[ParameterValue, Par
     return certify_pair(g, omega, ParameterValue("chi", len(set(colouring)), colouring))
 
 
+def bipartite_pair(g: Graph, cert: Bipartition) -> tuple[ParameterValue, ParameterValue]:
+    """A maximum clique and a minimum colouring of one size on a bipartite
+    graph with at least one vertex: an edge and the two sides of ``cert``, or
+    one vertex and one colour when there is no edge."""
+    u = next((v for v in range(g.n) if g.adj[v]), None)
+    if u is None:
+        clique, colouring = frozenset({0}), (1,) * g.n
+    else:
+        w = (g.adj[u] & -g.adj[u]).bit_length() - 1
+        clique, colouring = frozenset({u, w}), tuple(1 if v in cert.left else 2 for v in range(g.n))
+    omega = ParameterValue("omega", len(clique), clique)
+    return certify_pair(g, omega, ParameterValue("chi", len(set(colouring)), colouring))
+
+
 def certify_pair(
     g: Graph, low: ParameterValue, high: ParameterValue
 ) -> tuple[ParameterValue, ParameterValue]:
@@ -346,10 +390,16 @@ def certified_value(g: Graph, kind: str, klass: str = "auto") -> tuple[Parameter
     def tau(alpha_solver):
         return lambda g, *cert: tau_from_alpha(g, alpha_solver(g, *cert))
 
+    def side(pair, i):
+        return lambda g, cert: pair(g, cert)[i]
+
+    # A clique and a colouring of one size; on the empty graph there is no
+    # vertex to stand as the clique, and the fallback answers.
+    perfect = (("bipartite", bipartite_pair), ("cograph", cograph_pair)) if g.n else ()
     recognisers = {
         "bipartite": recognize_bipartite,
         "chordal": recognize_chordal,
-        # The 0-vertex graph has no cotree; the fallback answers it.
+        # The 0-vertex graph has no cotree, so it counts as no cograph.
         "cograph": lambda g: recognize_cograph(g) if g.n else NotInClass("0 vertices", ()),
     }
     # kind -> (routes, fallback); a route is (class, solver(g, certificate)).
@@ -359,8 +409,8 @@ def certified_value(g: Graph, kind: str, klass: str = "auto") -> tuple[Parameter
             (("bipartite", tau(alpha_bipartite)), ("chordal", tau(alpha_chordal))),
             tau(alpha_exact),
         ),
-        "omega": ((("cograph", lambda g, cert: cograph_pair(g, cert)[0]),), omega_exact),
-        "chi": ((("cograph", lambda g, cert: cograph_pair(g, cert)[1]),), chi_exact),
+        "omega": (tuple((name, side(pair, 0)) for name, pair in perfect), omega_exact),
+        "chi": (tuple((name, side(pair, 1)) for name, pair in perfect), chi_exact),
         "mu": ((("bipartite", mu_bipartite),), None),
     }[kind]
     cert_of = cache(lambda name: recognisers[name](g))

@@ -67,13 +67,13 @@ PARAM_CLASSES = ("auto", "bipartite", "chordal", "cograph")
 # reported "graph_class:value", or "exit 2" when the class is refused.
 PARAM_TABLE = {
     ("p4", "alpha"): ("bipartite:2", "bipartite:2", "chordal:2", "exit 2"),
-    ("p4", "omega"): ("general:2", "general:2", "general:2", "exit 2"),
-    ("p4", "chi"): ("general:2", "general:2", "general:2", "exit 2"),
+    ("p4", "omega"): ("bipartite:2", "bipartite:2", "general:2", "exit 2"),
+    ("p4", "chi"): ("bipartite:2", "bipartite:2", "general:2", "exit 2"),
     ("p4", "mu"): ("bipartite:2", "bipartite:2", "bipartite:2", "exit 2"),
     ("p4", "tau"): ("bipartite:2", "bipartite:2", "chordal:2", "exit 2"),
     ("c4", "alpha"): ("bipartite:2", "bipartite:2", "exit 2", "general:2"),
-    ("c4", "omega"): ("cograph:2", "general:2", "exit 2", "cograph:2"),
-    ("c4", "chi"): ("cograph:2", "general:2", "exit 2", "cograph:2"),
+    ("c4", "omega"): ("bipartite:2", "bipartite:2", "exit 2", "cograph:2"),
+    ("c4", "chi"): ("bipartite:2", "bipartite:2", "exit 2", "cograph:2"),
     ("c4", "mu"): ("bipartite:2", "bipartite:2", "exit 2", "bipartite:2"),
     ("c4", "tau"): ("bipartite:2", "bipartite:2", "exit 2", "general:2"),
     ("k4", "alpha"): ("chordal:1", "exit 2", "chordal:1", "general:1"),
@@ -303,11 +303,14 @@ def test_verify_bipartite_param_report_above_alpha_exact_ceiling(capsys, tmp_pat
         assert code == 1 and not json.loads(verdict)["valid"]
 
 
-# Above the exact solvers' 40-vertex ceiling: a 60-vertex chordal graph and
-# a 50-vertex threshold chain (a cograph with omega 26).
+# Above the exact solvers' ceilings (40 vertices, 20 for chi): a 60-vertex
+# chordal graph, a 50-vertex threshold chain (a cograph with omega 26) and
+# bipartite graphs on 80 and 50 vertices.
 CLASS_ROUTE_GRAPHS = {
     "chordal60": random_chordal(random.Random(60), 60),
     "chain50": Graph(50, [(u, v) for v in range(1, 50, 2) for u in range(v)]),
+    "bipartite80": random_connected_bipartite(random.Random(5), 80, 0.15),
+    "bipartite50": random_connected_bipartite(random.Random(5), 50, 0.15),
 }
 
 
@@ -315,6 +318,8 @@ CLASS_ROUTE_GRAPHS = {
     ("chordal60", "alpha", "chordal"),
     ("chordal60", "tau", "chordal"),
     ("chain50", "omega", "cograph"),
+    ("bipartite80", "omega", "bipartite"),
+    ("bipartite50", "chi", "bipartite"),
 ])
 def test_class_route_param_reports_verify_above_the_ceiling(capsys, tmp_path, graph_name,
                                                             kind, route):
@@ -327,10 +332,14 @@ def test_class_route_param_reports_verify_above_the_ceiling(capsys, tmp_path, gr
     report_file.write_text(out)
     code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
     assert code == 0 and json.loads(verdict)["valid"], verdict
-    # One element short: a smaller witness, or for tau no cover at all.
-    vertices = report["witness"]["vertices"]
-    report_file.write_text(json.dumps(dict(report, value=report["value"] - 1,
-                                           witness={"vertices": vertices[1:]})))
+    # One short: a witness one element smaller (for tau no cover at all), or
+    # for chi the last colour merged into the one before it.
+    value, witness = report["value"] - 1, report["witness"]
+    if "colouring" in witness:
+        witness = {"colouring": [min(c, value) for c in witness["colouring"]]}
+    else:
+        witness = {"vertices": witness["vertices"][1:]}
+    report_file.write_text(json.dumps(dict(report, value=value, witness=witness)))
     code, verdict = _run(capsys, "verify", str(report_file), str(graph_file))
     assert code == 1 and not json.loads(verdict)["valid"]
 

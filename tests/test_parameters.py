@@ -11,7 +11,10 @@ from blockerlab.graph import (
     bits,
     complete_bipartite_graph,
     complete_graph,
+    contract_edges,
     cycle_graph,
+    delete_edges,
+    delete_vertices,
     path_graph,
     star_graph,
     to_mask,
@@ -29,7 +32,12 @@ from blockerlab.parameters import (
     tau_from_alpha,
     validate_witness,
 )
-from blockerlab.recognizers import EliminationOrder, recognize_bipartite, recognize_chordal
+from blockerlab.recognizers import (
+    Bipartition,
+    EliminationOrder,
+    recognize_bipartite,
+    recognize_chordal,
+)
 from blockerlab.report import verify_report
 
 
@@ -67,21 +75,82 @@ def test_omega_chi_examples(paw):
     assert chi_exact(Graph(3)).value == 1
 
 
-def test_chi_against_brute(rng):
-    def brute_chi(g):
-        if g.n == 0:
-            return 0
-        for h in range(1, g.n + 1):
-            for assign in itertools.product(range(h), repeat=g.n):
-                if all(assign[u] != assign[v] for u, v in g.edges()):
-                    return h
-        raise AssertionError
+def _subset_tables(g):
+    """Which vertex subsets (as masks) are independent sets and which are
+    cliques, each subset checked against its lowest vertex."""
+    independent = [True] * (1 << g.n)
+    clique = [True] * (1 << g.n)
+    for m in range(1, 1 << g.n):
+        low = m & -m
+        rest, nbrs = m ^ low, g.adj[low.bit_length() - 1]
+        independent[m] = independent[rest] and not nbrs & rest
+        clique[m] = clique[rest] and not rest & ~nbrs
+    return independent, clique
 
+
+def _brute_chi(g):
+    """The fewest independent sets that partition the vertices: over every
+    subset, the class of its lowest vertex runs through all independent
+    subsets that hold it."""
+    independent, _ = _subset_tables(g)
+    parts = [0] * (1 << g.n)
+    for m in range(1, 1 << g.n):
+        low = m & -m
+        rest = s = m ^ low
+        best = g.n
+        while True:
+            if independent[s | low]:
+                best = min(best, parts[rest ^ s] + 1)
+            if not s:
+                break
+            s = (s - 1) & rest
+        parts[m] = best
+    return parts[-1]
+
+
+def test_chi_against_brute(rng):
     for _ in range(40):
         g = _random_graph(rng, rng.randint(1, 6))
         pv = chi_exact(g)
-        assert pv.value == brute_chi(g)
+        assert pv.value == _brute_chi(g)
         assert validate_witness(g, pv)
+
+
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for m in range(1 << len(pairs)):
+        yield Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1])
+
+
+def _operated(g):
+    """g after every contraction or deletion of at most two elements."""
+    for r in range(3):
+        for s in itertools.combinations(g.edges(), r):
+            yield contract_edges(g, s)[0]
+            yield delete_edges(g, s)
+        for u in itertools.combinations(range(g.n), r):
+            yield delete_vertices(g, u)[0]
+
+
+def test_exact_solvers_against_subset_enumeration():
+    # Every labelled graph with n <= 5 (the graphs these operations make
+    # from them are among those), 200 seeded graphs on 6 to 9 vertices and
+    # every graph the operations make from those.
+    rng = random.Random(14)
+    seeded = [_random_graph(rng, rng.randint(6, 9), rng.choice((0.3, 0.5, 0.7)))
+              for _ in range(200)]
+    graphs = {h for g in seeded for h in _operated(g)}
+    graphs.update(h for n in range(6) for h in _labelled_graphs(n))
+    assert len(graphs) > 30000
+    for g in graphs:
+        independent, clique = _subset_tables(g)
+        for solver, table in ((alpha_exact, independent), (omega_exact, clique)):
+            pv = solver(g)
+            assert pv.value == max(m.bit_count() for m, ok in enumerate(table) if ok), g.edges()
+            assert validate_witness(g, pv)
+        if g.n <= 6:
+            pv = chi_exact(g)
+            assert pv.value == _brute_chi(g) and validate_witness(g, pv), g.edges()
 
 
 def test_matching_examples():
@@ -160,8 +229,6 @@ def test_capacity_ceilings():
 
 
 def test_invalid_certificates_rejected():
-    from blockerlab.recognizers import Bipartition
-
     g = complete_graph(3)
     with pytest.raises(CertificateError):
         mu_bipartite(g, Bipartition(frozenset({0, 1}), frozenset({2})))
@@ -172,7 +239,7 @@ def test_invalid_certificates_rejected():
 def test_class_routes_agree_with_exact_solvers():
     # Each class route, asked for by name, on every connected member of its
     # class with n <= 7 (mu = n - alpha by König).
-    routes = {"bipartite": ("alpha", "mu", "tau"), "chordal": ("alpha", "tau"),
+    routes = {"bipartite": ("alpha", "mu", "tau", "omega", "chi"), "chordal": ("alpha", "tau"),
               "cograph": ("omega", "chi")}
     for klass, kinds in routes.items():
         for g in graph_catalogue(klass, 7):
@@ -221,6 +288,11 @@ MUTATIONS = {
     "cotree-colouring-one-colour-too-few": (
         {"proper_colouring": _one_colour_too_few(parameters.proper_colouring)},
         complete_graph(4), "chi", {"colouring": [1, 2, 3, 4]}, 4,
+    ),
+    # Sides that put the edge 0-1 inside one colour class.
+    "bipartite-colouring-with-an-edge-inside-a-side": (
+        {"recognize_bipartite": lambda g: Bipartition(frozenset({0, 1}), frozenset({2, 3}))},
+        path_graph(4), "chi", {"colouring": [1, 2, 1, 2]}, 2,
     ),
     # An order that skips 0 and 1 leaves them outside every clique.
     "clique-cover-missing-a-vertex": (
@@ -429,3 +501,61 @@ def test_exact_witnesses_pinned():
     # Both exits of chi_exact are pinned: greedy already optimal at the
     # clique bound, and a search that has to improve on greedy.
     assert greedy_above_omega and greedy_at_omega
+
+
+def _pinned_graph(key):
+    if key == "groetzsch":
+        return _groetzsch()
+    if key == "C7":
+        return cycle_graph(7)
+    seed, n, p = key
+    return _random_graph(random.Random(seed), n, p)
+
+
+def _greedy_seed(adj, n):
+    """Repeatedly a vertex of fewest neighbours among the candidates left,
+    the lowest on ties, as the search's first independent set."""
+    cand, seed = set(range(n)), set()
+    while cand:
+        v = min(cand, key=lambda x: (sum(adj[x] >> w & 1 for w in cand), x))
+        seed.add(v)
+        cand -= {w for w in cand if w == v or adj[v] >> w & 1}
+    return seed
+
+
+def _greedy_clique_cover(adj, n):
+    """The lowest vertex left, then every later vertex left that is adjacent
+    to all chosen so far, until no vertex is left."""
+    left, cover = list(range(n)), []
+    while left:
+        clique = []
+        for v in left:
+            if all(adj[v] >> u & 1 for u in clique):
+                clique.append(v)
+        cover.append(clique)
+        left = [v for v in left if v not in clique]
+    return cover
+
+
+def test_independent_set_search_exits_pinned():
+    # alpha on the graph and omega on its complement: the seed comes back at
+    # once when the greedy clique cover has as many parts, and is searched
+    # past otherwise.
+    graphs = [_pinned_graph(key) for key, *_ in PINNED_EXACT]
+    graphs += [_random_graph(random.Random(seed), 8, p) for seed in range(30) for p in (0.3, 0.5, 0.7)]
+    closed = searched = improved = 0
+    for g in graphs:
+        for adj in (g.adj, g.complement().adj):
+            mask = parameters._max_independent_mask(adj, (1 << g.n) - 1)
+            seed, cover = _greedy_seed(adj, g.n), _greedy_clique_cover(adj, g.n)
+            assert not any(adj[v] & mask for v in bits(mask))
+            assert sorted(v for clique in cover for v in clique) == list(range(g.n))
+            assert all(adj[u] >> v & 1 for clique in cover for u, v in itertools.combinations(clique, 2))
+            assert len(cover) >= mask.bit_count() >= len(seed)
+            if len(cover) == len(seed):
+                closed += 1
+                assert mask == to_mask(seed)
+            else:
+                searched += 1
+                improved += mask.bit_count() > len(seed)
+    assert closed and searched and improved, (closed, searched, improved)
