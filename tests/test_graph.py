@@ -24,6 +24,7 @@ from blockerlab.graph import (
     is_forest,
     path_graph,
     restriction,
+    validate_edge_set,
 )
 from blockerlab.isomorphism import are_isomorphic
 
@@ -103,6 +104,42 @@ def test_simultaneous_contraction_equals_sequential_random_n7():
 def test_contract_rejects_non_edge():
     with pytest.raises(InvalidEdgeError):
         contract_edges(path_graph(3), [(0, 2)])
+
+
+# validate_edge_set on the paw (edges 0-1, 0-2, 1-2, 2-3): the normalised
+# set, or the exception type and message.
+VALIDATE_EDGE_SET_CASES = [
+    ([], frozenset()),
+    ([(1, 0), (3, 2)], frozenset({(0, 1), (2, 3)})),
+    ([(0, 1), (1, 0), (0, 1)], frozenset({(0, 1)})),
+    ([[2, 1], [0, 2]], frozenset({(1, 2), (0, 2)})),
+    (iter([(2, 0)]), frozenset({(0, 2)})),
+    ([(1, 1)], (InvalidEdgeError, "self-loop 1-1 is not a valid edge")),
+    ([(7, 7)], (InvalidEdgeError, "self-loop 7-7 is not a valid edge")),
+    ([(0, 1), (0, 3)], (InvalidEdgeError, "(0, 3) is not an edge of the host graph")),
+    ([(3, 0)], (InvalidEdgeError, "(0, 3) is not an edge of the host graph")),
+    ([(2, 4)], (InvalidEdgeError, "(2, 4) is not an edge of the host graph")),
+    ([(4, 2)], (InvalidEdgeError, "(2, 4) is not an edge of the host graph")),
+    ([(4, 5)], (InvalidEdgeError, "(4, 5) is not an edge of the host graph")),
+    ([(-1, 2)], (InvalidEdgeError, "(-1, 2) is not an edge of the host graph")),
+    ([(2, -1)], (InvalidEdgeError, "(-1, 2) is not an edge of the host graph")),
+    ([(-4, 0)], (InvalidEdgeError, "(-4, 0) is not an edge of the host graph")),
+    ([(-2, -1)], (InvalidEdgeError, "(-2, -1) is not an edge of the host graph")),
+    ([(0, 1, 2)], (ValueError, "too many values to unpack (expected 2)")),
+]
+
+
+@pytest.mark.parametrize("pairs, expected", VALIDATE_EDGE_SET_CASES)
+def test_validate_edge_set_pinned(paw, pairs, expected):
+    if isinstance(expected, frozenset):
+        out = validate_edge_set(paw, pairs)
+        assert out == expected and type(out) is frozenset
+        assert all(type(e) is tuple for e in out)
+    else:
+        kind, message = expected
+        with pytest.raises(kind) as info:
+            validate_edge_set(paw, pairs)
+        assert type(info.value) is kind and str(info.value) == message
 
 
 def test_delete_vertex_of_k4():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from blockerlab.catalogue import (
+    CATALOGUE_CLASSES,
     graph_catalogue,
     random_connected_graph,
 )
@@ -12,7 +13,10 @@ from blockerlab.graph import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
+    contract_edges,
     cycle_graph,
+    delete_edges,
+    delete_vertices,
     is_forest,
     path_graph,
     restriction,
@@ -20,8 +24,13 @@ from blockerlab.graph import (
 )
 from blockerlab.isomorphism import are_isomorphic
 from blockerlab.monochromatic import count_monochromatic_edges
+from blockerlab.parameters import alpha_exact, chi_exact, omega_exact
 from blockerlab.oracle import (
+    _MONOTONE,
+    OPERATIONS,
+    PARAMETERS,
     BlockerQuery,
+    OracleAnswer,
     apply_operation,
     brute_blocker,
     brute_blocker_decision,
@@ -249,3 +258,110 @@ def test_brute_blocker_answers_and_witnesses_pinned(seed):
         witness = tuple(sorted(out.witness)) if out.witness is not None else None
         table[op, param] = (out.answer, out.value_before, out.value_after, witness)
     assert table == PINNED_ORACLE_TABLES[seed]
+
+
+def _catalogue_graphs_to_6():
+    """Every connected catalogue graph with n <= 6, each labelled graph once."""
+    seen = {}
+    for clazz in CATALOGUE_CLASSES:
+        for g in graph_catalogue(clazz, 6):
+            seen.setdefault(g, None)
+    return list(seen)
+
+
+_SOLVERS = {"alpha": alpha_exact, "omega": omega_exact, "chi": chi_exact}
+
+
+def _value_after(g, op, param, subset):
+    if op == "contract":
+        h = contract_edges(g, subset)[0]
+    elif op == "delete-vertices":
+        h = delete_vertices(g, subset)[0]
+    else:
+        h = delete_edges(g, subset)
+    return _SOLVERS[param](h).value
+
+
+def _ground(g, op):
+    return list(range(g.n)) if op == "delete-vertices" else g.edges()
+
+
+def _scan(g, op, param, top=3):
+    """Every subset of the ground set with at most ``top`` elements, by size
+    and then lexicographically, with the parameter after the operation."""
+    return [
+        (subset, _value_after(g, op, param, subset))
+        for size in range(top + 1)
+        for subset in itertools.combinations(_ground(g, op), size)
+    ]
+
+
+def test_brute_blocker_equals_naive_enumeration():
+    """All sizes from 0, each size in lexicographic order, first hit wins."""
+    for g in _catalogue_graphs_to_6():
+        for op, param in itertools.product(OPERATIONS, PARAMETERS):
+            before = _SOLVERS[param](g).value
+            scan = _scan(g, op, param)
+            for k, d in itertools.product(range(4), (1, 2)):
+                hit = next(((s, v) for s, v in scan if len(s) <= k and v <= before - d), None)
+                out = brute_blocker(BlockerQuery(g, op, param, k, d))
+                if hit is None:
+                    expected = OracleAnswer(False, None, False, before, None)
+                else:
+                    expected = OracleAnswer(True, frozenset(hit[0]), True, before, hit[1])
+                assert out == expected, (g.edges(), op, param, k, d)
+
+
+def _growth_steps(g, op, param):
+    """(value of s, value of s plus x) for every s of size <= 2 and x not in s."""
+    value = {frozenset(s): v for s, v in _scan(g, op, param)}
+    for s, v in value.items():
+        if len(s) < 3:
+            for x in _ground(g, op):
+                if x not in s:
+                    yield v, value[s | {x}]
+
+
+def test_monotone_pairs_never_rise_when_a_set_grows():
+    """The pairs the oracle decides at its top layer: adding one element to
+    any set of size <= 2 never raises the parameter."""
+    for g in _catalogue_graphs_to_6():
+        for op, param in sorted(_MONOTONE):
+            for v, grown in _growth_steps(g, op, param):
+                assert grown <= v, (g.edges(), op, param)
+
+
+def test_deleting_edges_never_lowers_alpha():
+    assert ("delete-edges", "alpha") not in _MONOTONE
+    for g in _catalogue_graphs_to_6():
+        for v, grown in _growth_steps(g, "delete-edges", "alpha"):
+            assert grown >= v, g.edges()
+
+
+@pytest.mark.parametrize("param", ["omega", "chi"])
+def test_contraction_of_omega_and_chi_is_not_monotone(param):
+    """K_{3,3} plus the edge 0-1 inside one side: contracting 0-1 alone
+    drops omega and chi from 3 to 2, but every set of two edges leaves at
+    least 3, so a scan of the top layer alone would answer k = 2, d = 1
+    wrongly."""
+    g = Graph(6, [(0, 1)] + [(a, b) for a in range(3) for b in range(3, 6)])
+    assert ("contract", param) not in _MONOTONE
+    assert _value_after(g, "contract", param, ()) == 3
+    assert _value_after(g, "contract", param, ((0, 1),)) == 2
+    assert all(_value_after(g, "contract", param, s) >= 3 for s in itertools.combinations(g.edges(), 2))
+    out = brute_blocker(BlockerQuery(g, "contract", param, 2, 1))
+    assert out == OracleAnswer(True, frozenset({(0, 1)}), True, 3, 2)
+
+
+def test_minimal_criticality_equals_its_definition():
+    """Critical, and no proper subset critical, read off the naive scan."""
+    for g in _catalogue_graphs_to_6():
+        if g.n > 5:
+            continue
+        for param in PARAMETERS:
+            before = _SOLVERS[param](g).value
+            critical = {frozenset(s): v < before for s, v in _scan(g, "contract", param)}
+            for s, is_critical in critical.items():
+                proper = (t for t in critical if t < s)
+                expected = is_critical and not any(critical[t] for t in proper)
+                assert is_minimal_critical(g, sorted(s, reverse=True), param) == expected
