@@ -155,10 +155,11 @@ def _image(mask: int, new: list[int] | dict[int, int]) -> int:
 
 def validate_edge_set(g: Graph, s: Iterable[tuple[int, int]]) -> frozenset[Edge]:
     """Normalise ``s`` and check every pair is an edge of ``g``."""
+    adj, n = g.adj, g.n
     out = set()
     for u, v in s:
         e = edge(u, v)
-        if not (0 <= e[0] < g.n and e[1] < g.n) or not g.has_edge(*e):
+        if not (0 <= e[0] and e[1] < n and adj[e[0]] >> e[1] & 1):
             raise InvalidEdgeError(f"{e} is not an edge of the host graph")
         out.add(e)
     return frozenset(out)

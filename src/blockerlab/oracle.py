@@ -1,16 +1,19 @@
 """Brute-force ground truth: blocker search, colouring search, partition search.
 
-Everything here is deliberately naive.  These routines anchor the polynomial
-algorithms and the gadget constructions, so they must be simple enough to be
-obviously correct and must fail loudly (``CapacityExceededError``) instead of
-degrading when an instance is too large for exhaustive search.
+These routines anchor the polynomial algorithms and the gadget constructions,
+so they must be simple enough to be obviously correct and must fail loudly
+(``CapacityExceededError``) instead of degrading when an instance is too large
+for exhaustive search.  The blocker search enumerates subsets by size and
+skips only layers whose outcome is already decided: (delete-edges, alpha)
+never drops, and for a monotone pair a miss in the top layer is a no.  Its
+budget counts every layer up to ``k``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import check_capacity
 from .graph import (
@@ -64,9 +67,13 @@ class OracleAnswer(NamedTuple):
     value_after: Optional[int]
 
 
+# Solver names, looked up in this module's namespace on each call so that a
+# rebinding of the solvers (the benchmark's spans) is seen.
+_SOLVERS = {"alpha": "alpha_exact", "omega": "omega_exact", "chi": "chi_exact"}
+
+
 def parameter_value(g: Graph, parameter: str) -> int:
-    fn = {"alpha": alpha_exact, "omega": omega_exact, "chi": chi_exact}[parameter]
-    return fn(g).value
+    return globals()[_SOLVERS[parameter]](g).value
 
 
 def apply_operation(g: Graph, operation: str, chosen: Iterable) -> Graph:
@@ -92,10 +99,35 @@ def brute_blocker(q: BlockerQuery, budget: Optional[int] = None) -> OracleAnswer
 
     Subsets are enumerated by increasing size and lexicographically within a
     size, so the reported witness is deterministic: the lexicographically
-    least among the minimum-size ones.
+    least among the minimum-size ones.  The empty set changes nothing, so
+    with ``d >= 1`` the scan starts at size 1.  Two layer rules skip work
+    without changing any answer:
+
+    * deleting edges never lowers alpha, so (delete-edges, alpha) is a no
+      without a scan;
+    * for a monotone pair a hit of size ``s <= top = min(k, |ground|)``
+      extends to one of size ``top``, so the top layer is scanned first and
+      a miss there is a no.  After a hit the smaller layers are scanned in
+      order, and the top layer's first hit answers if none of them hits.
     """
     ground = _ground_set(q.graph, q.operation)
-    return _search(q, ground, range(min(q.k, len(ground)) + 1), True, budget)
+    top = min(q.k, len(ground))
+    check_capacity(_subset_count(len(ground), top), "subsets", budget)
+    before = parameter_value(q.graph, q.parameter)
+    target = before - q.d
+    pair = (q.operation, q.parameter)
+    last = None  # the top layer's first hit, when it was scanned ahead
+    if pair == ("delete-edges", "alpha"):
+        top = 0
+    elif pair in _MONOTONE and top > 1:
+        last = _first_hit(q, ground, top, target)
+        if last is None:
+            top = 0
+    for size in range(1, top + (last is None)):
+        hit = _first_hit(q, ground, size, target)
+        if hit is not None:
+            return _answer(hit, True, before)
+    return _answer(last, True, before)
 
 
 def brute_blocker_decision(q: BlockerQuery) -> OracleAnswer:
@@ -111,27 +143,28 @@ def brute_blocker_decision(q: BlockerQuery) -> OracleAnswer:
             f"({q.operation}, {q.parameter}) is not monotone; use brute_blocker"
         )
     ground = _ground_set(q.graph, q.operation)
-    return _search(q, ground, (min(q.k, len(ground)),), False)
-
-
-def _search(
-    q: BlockerQuery,
-    ground: list,
-    sizes: Sequence[int],
-    minimal: bool,
-    budget: Optional[int] = None,
-) -> OracleAnswer:
-    """First subset of ``ground`` reaching the drop, trying ``sizes`` in order
-    and each size lexicographically; a hit is reported with ``minimal``."""
-    check_capacity(sum(math.comb(len(ground), size) for size in sizes), "subsets", budget)
+    top = min(q.k, len(ground))
+    check_capacity(math.comb(len(ground), top), "subsets")
     before = parameter_value(q.graph, q.parameter)
-    target = before - q.d
-    for size in sizes:
-        for subset in itertools.combinations(ground, size):
-            after = parameter_value(apply_operation(q.graph, q.operation, subset), q.parameter)
-            if after <= target:
-                return OracleAnswer(True, frozenset(subset), minimal, before, after)
-    return OracleAnswer(False, None, False, before, None)
+    return _answer(_first_hit(q, ground, top, before - q.d), False, before)
+
+
+def _first_hit(q: BlockerQuery, ground: list, size: int, target: int) -> Optional[tuple]:
+    """The lexicographically first ``size``-subset of ``ground`` whose
+    operation takes the parameter to ``target`` or below, with that value."""
+    g, operation, parameter = q.graph, q.operation, q.parameter
+    for subset in itertools.combinations(ground, size):
+        after = parameter_value(apply_operation(g, operation, subset), parameter)
+        if after <= target:
+            return subset, after
+    return None
+
+
+def _answer(hit: Optional[tuple], minimal: bool, before: int) -> OracleAnswer:
+    if hit is None:
+        return OracleAnswer(False, None, False, before, None)
+    subset, after = hit
+    return OracleAnswer(True, frozenset(subset), minimal, before, after)
 
 
 def min_critical_size(g: Graph, operation: str, parameter: str, d: int) -> Optional[int]:
@@ -149,15 +182,19 @@ def is_contraction_critical(g: Graph, s, parameter: str) -> bool:
 
 def is_minimal_critical(g: Graph, s, parameter: str) -> bool:
     """Critical, and no proper subset is critical."""
-    s = validate_edge_set(g, s)
-    if not is_contraction_critical(g, s, parameter):
+    edges = sorted(validate_edge_set(g, s))
+    before = parameter_value(g, parameter)
+
+    def critical(subset) -> bool:
+        return parameter_value(contract_edges(g, subset)[0], parameter) < before
+
+    if not critical(edges):
         return False
-    edges = sorted(s)
-    for size in range(len(edges)):
-        for subset in itertools.combinations(edges, size):
-            if is_contraction_critical(g, subset, parameter):
-                return False
-    return True
+    return not any(
+        critical(subset)
+        for size in range(len(edges))
+        for subset in itertools.combinations(edges, size)
+    )
 
 
 def brute_min_mono(g: Graph, h: int) -> tuple[int, tuple[int, ...]]:
