@@ -189,8 +189,14 @@ def contract_edges(
     contracted graph plus a map ``old vertex -> new vertex`` so that witnesses
     on the result can be translated back.
     """
-    s = validate_edge_set(g, s)
-    parent = list(range(g.n))
+    adj, comp = _contract_masks(g.adj, validate_edge_set(g, s))
+    return _from_masks(adj), tuple(comp)
+
+
+def _contract_masks(adj: tuple[int, ...], s: Iterable[Edge]) -> tuple[list[int], list[int]]:
+    """Neighbour masks after contracting the pairs of ``s``, which must be
+    edges of the graph of ``adj``, and the map old vertex -> new vertex."""
+    parent = list(range(len(adj)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -206,9 +212,9 @@ def contract_edges(
     # A root is the least vertex of its component, so it is numbered before
     # the rest of its component, and new numbers follow the order of roots.
     # merged[c] is the union of the old neighbour masks of component c.
-    comp = [0] * g.n
+    comp = [0] * len(adj)
     merged: list[int] = []
-    for v, nbrs in enumerate(g.adj):
+    for v, nbrs in enumerate(adj):
         r = find(v)
         if r == v:
             comp[v] = len(merged)
@@ -217,8 +223,7 @@ def contract_edges(
             comp[v] = c = comp[r]
             merged[c] |= nbrs
 
-    adj = [_image(m, comp) & ~(1 << c) for c, m in enumerate(merged)]
-    return _from_masks(adj), tuple(comp)
+    return [_image(m, comp) & ~(1 << c) for c, m in enumerate(merged)], comp
 
 
 def delete_vertices(g: Graph, u: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -16,7 +16,7 @@ colouring on cographs.  :func:`certified_value` picks the route; ``param`` and
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .cotree import CotreeLeaf, proper_colouring
 from .errors import CertificateError, GraphFormatError, check_capacity
@@ -43,14 +43,17 @@ class ParameterValue(NamedTuple):
     witness: Union[frozenset[int], frozenset[Edge], tuple[int, ...], tuple[frozenset[int], ...]]
 
 
-def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
+def _max_independent_mask(adj: tuple[int, ...], universe: int, target: Optional[int] = None) -> int:
     """A maximum independent set inside ``universe``: a greedy seed, proved
     maximum by a greedy clique cover of its size when there is one, else
-    improved by branch and bound."""
+    improved by branch and bound.  Given a ``target``, it returns the first
+    independent set it finds with more than ``target`` vertices instead, so
+    only a maximum set of at most ``target`` vertices costs a full search."""
+    stop = universe.bit_count() if target is None else target
     # Greedy seed: repeatedly take a minimum-degree vertex, the lowest on ties.
     cand = universe
     seed = 0
-    while cand:
+    while cand and seed.bit_count() <= stop:
         v, low = -1, universe.bit_length()
         rest = cand
         while rest:
@@ -62,6 +65,8 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
         seed |= 1 << v
         cand &= ~(adj[v] | (1 << v))
     best_mask, best_size = seed, seed.bit_count()
+    if best_size > stop:
+        return best_mask
 
     # Primal-dual exit: a greedy clique cover of ``universe`` (the lowest
     # vertex left, then its common neighbours, lowest first) with as many
@@ -81,7 +86,7 @@ def _max_independent_mask(adj: tuple[int, ...], universe: int) -> int:
 
     def rec(cand: int, cur: int, size: int) -> None:
         nonlocal best_mask, best_size
-        if size + cand.bit_count() <= best_size:
+        if best_size > stop or size + cand.bit_count() <= best_size:
             return
         if cand == 0:
             best_mask, best_size = cur, size
@@ -134,14 +139,18 @@ def chi_exact(g: Graph) -> ParameterValue:
     assignments.  The lower bound omega usually comes from
     :func:`omega_exact`'s cover exit, without a search."""
     check_capacity(g.n, "vertices", CHI_VERTEX_CEILING)
-    if g.n == 0:
-        return ParameterValue("chi", 0, ())
+    best, colouring = _min_colouring(g.adj, (1 << g.n) - 1, omega_exact(g).value)
+    return ParameterValue("chi", best, tuple(colouring))
 
-    adj = g.adj
-    order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
+
+def _min_colouring(adj: tuple[int, ...], universe: int, lower: int) -> tuple[int, list[int]]:
+    """A minimum proper colouring of the graph induced on ``universe``, given
+    a clique of ``lower`` vertices in it: the number of colours, and each
+    vertex's colour from 1 up (0 outside ``universe``)."""
+    order = sorted(bits(universe), key=lambda v: -(adj[v] & universe).bit_count())
     # Greedy upper bound: each vertex joins the first colour class (a vertex
     # mask) that holds none of its neighbours, or opens a new one.
-    best_col = [0] * g.n
+    best_col = [0] * len(adj)
     classes: list[int] = []
     for v in order:
         for c, members in enumerate(classes):
@@ -153,25 +162,23 @@ def chi_exact(g: Graph) -> ParameterValue:
             classes.append(1 << v)
             best_col[v] = len(classes)
     best = len(classes)
-
-    lower = omega_exact(g).value
     if best == lower:
         # rec only tries colourings with fewer than best colours.
-        return ParameterValue("chi", best, tuple(best_col))
+        return best, best_col
 
-    colour = [0] * g.n
+    colour = [0] * len(adj)
 
     def rec(i: int, used: int) -> None:
         nonlocal best, best_col
         if used >= best:
             return
-        if i == g.n:
+        if i == len(order):
             best = used
             best_col = list(colour)
             return
         v = order[i]
         taken = 0
-        for w in bits(g.adj[v]):
+        for w in bits(adj[v]):
             if colour[w]:
                 taken |= 1 << colour[w]
         for c in range(1, min(used + 1, best - 1) + 1):
@@ -183,7 +190,7 @@ def chi_exact(g: Graph) -> ParameterValue:
                     return
 
     rec(0, 0)
-    return ParameterValue("chi", best, tuple(best_col))
+    return best, best_col
 
 
 def bipartite_matching(adj: tuple[int, ...], left: int, right: int) -> tuple[dict[int, int], int]:

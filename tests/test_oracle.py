@@ -31,6 +31,7 @@ from blockerlab.oracle import (
     PARAMETERS,
     BlockerQuery,
     OracleAnswer,
+    _evaluator,
     apply_operation,
     brute_blocker,
     brute_blocker_decision,
@@ -310,6 +311,43 @@ def test_brute_blocker_equals_naive_enumeration():
                 else:
                     expected = OracleAnswer(True, frozenset(hit[0]), True, before, hit[1])
                 assert out == expected, (g.edges(), op, param, k, d)
+
+
+@pytest.mark.slow
+def test_brute_blocker_equals_naive_enumeration_at_7_and_8_vertices():
+    """The same naive enumeration on seeded connected graphs of the size
+    the benchmark's oracle table uses."""
+    rng = random.Random(8)
+    for i in range(40):
+        g = random_connected_graph(rng, 7 + i % 2, 0.45)
+        for op, param in itertools.product(OPERATIONS, PARAMETERS):
+            before = _SOLVERS[param](g).value
+            scan = _scan(g, op, param)
+            for k, d in itertools.product(range(4), (1, 2)):
+                hit = next(((s, v) for s, v in scan if len(s) <= k and v <= before - d), None)
+                if hit is None:
+                    expected = OracleAnswer(False, None, False, before, None)
+                else:
+                    expected = OracleAnswer(True, frozenset(hit[0]), True, before, hit[1])
+                assert brute_blocker(BlockerQuery(g, op, param, k, d)) == expected, (g.edges(), op, param, k, d)
+
+
+def test_evaluator_meets_its_definition():
+    """value_after(subset, target) is the parameter after the operation when
+    that is at most target, and otherwise above target and at most it, for
+    every subset of at most three elements and every target from -1 up to
+    the value before."""
+    for g in _catalogue_graphs_to_6():
+        for op, param in itertools.product(OPERATIONS, PARAMETERS):
+            value_after = _evaluator(g, op, param)
+            before = _SOLVERS[param](g).value
+            for subset, true in _scan(g, op, param):
+                for target in range(-1, before + 1):
+                    got = value_after(subset, target)
+                    if true <= target:
+                        assert got == true, (g.edges(), op, param, subset, target)
+                    else:
+                        assert target < got <= true, (g.edges(), op, param, subset, target)
 
 
 def _growth_steps(g, op, param):
