@@ -329,7 +329,8 @@ def test_brute_blocker_equals_naive_enumeration_at_7_and_8_vertices():
                     expected = OracleAnswer(False, None, False, before, None)
                 else:
                     expected = OracleAnswer(True, frozenset(hit[0]), True, before, hit[1])
-                assert brute_blocker(BlockerQuery(g, op, param, k, d)) == expected, (g.edges(), op, param, k, d)
+                out = brute_blocker(BlockerQuery(g, op, param, k, d))
+                assert out == expected, (g.edges(), op, param, k, d)
 
 
 def test_evaluator_meets_its_definition():
