@@ -3,6 +3,7 @@ import random
 import pytest
 
 from blockerlab.bipartite_blocker import (
+    MAX_SUPPORTED_D,
     alpha_after_contraction_bipartite,
     build_contraction_tree,
     solve_bipartite_contraction_blocker,
@@ -19,7 +20,7 @@ from blockerlab.graph import (
     path_graph,
     restriction,
 )
-from blockerlab.oracle import min_critical_size
+from blockerlab.oracle import BlockerQuery, brute_blocker, min_critical_size
 from blockerlab.parameters import alpha_exact, mu_bipartite
 from blockerlab.recognizers import recognize_bipartite
 
@@ -168,3 +169,39 @@ def test_solver_rejects_bad_inputs():
         solve_bipartite_contraction_blocker(path_graph(4), -1, 1)
     with pytest.raises(ValueError):
         solve_bipartite_contraction_blocker(path_graph(4), 1, 4)
+
+
+def _enumeration_queries(n_min, n_max):
+    """(graph, k, d) for every connected bipartite catalogue graph with
+    n_min <= n <= n_max and every query the k <= 2d enumeration answers."""
+    for g in graph_catalogue("bipartite", n_max):
+        for d in range(1, MAX_SUPPORTED_D + 1):
+            if n_min <= g.n and g.n > 2 * d + 1:
+                for k in range(1, 2 * d + 1):
+                    yield g, k, d
+
+
+def _assert_enumeration_equals_oracle(queries):
+    """The solver's answer, witness edges and value after are the oracle's."""
+    count = 0
+    for g, k, d in queries:
+        out = solve_bipartite_contraction_blocker(g, k, d)
+        oracle = brute_blocker(BlockerQuery(g, "contract", "alpha", k, d))
+        assert out.answer == oracle.answer, (g.edges(), k, d)
+        assert out.alpha_before == oracle.value_before
+        if oracle.answer:
+            assert out.witness.edges == oracle.witness, (g.edges(), k, d)
+            assert out.witness.claimed_alpha_after == oracle.value_after
+        else:
+            assert out.witness is None
+        count += 1
+    return count
+
+
+def test_enumeration_witness_is_the_oracles():
+    assert _assert_enumeration_equals_oracle(_enumeration_queries(1, 7)) == 382
+
+
+@pytest.mark.slow
+def test_enumeration_witness_is_the_oracles_at_8_vertices():
+    assert _assert_enumeration_equals_oracle(_enumeration_queries(8, 8)) == 2184

@@ -89,6 +89,15 @@ def test_brute_blocker_budget_error():
         brute_blocker(BlockerQuery(g, "contract", "alpha", 8, 1), budget=10)
 
 
+def test_subset_budget_refuses_before_the_value_before_is_solved(monkeypatch):
+    # chi_exact would refuse K_21 for its 20-vertex ceiling; the subset
+    # count is checked first, so the refusal names the subsets.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "50")
+    query = BlockerQuery(complete_graph(21), "delete-vertices", "chi", 3, 1)
+    with pytest.raises(CapacityExceededError, match="^1562 subsets exceed the budget of 50$"):
+        brute_blocker(query)
+
+
 def test_brute_blocker_invalid_query():
     with pytest.raises(ValueError):
         BlockerQuery(path_graph(3), "contract", "alpha", 1, 0)
