@@ -81,34 +81,47 @@ def _cmd_cotree(args) -> int:
 
 
 def _cmd_blocker(args) -> int:
-    from .bipartite_blocker import solve_bipartite_contraction_blocker
-    from .report import base_report, edges_payload
+    """``blocker`` (the bipartite solver) and ``oracle`` (the exhaustive
+    search): one report, plus ``graph_class`` or ``minimal``."""
+    from .report import base_report, edges_payload, vertices_payload
 
     g, digest = _load_graph(args.graphfile)
     start = time.perf_counter()
-    outcome = solve_bipartite_contraction_blocker(g, args.k, args.d)
-    report = base_report("blocker", digest, time.perf_counter() - start)
+    if args.command == "oracle":
+        from .oracle import BlockerQuery, brute_blocker
+
+        answer = brute_blocker(BlockerQuery(g, args.op, args.param, args.k, args.d))
+        chosen, before, after = answer.witness, answer.value_before, answer.value_after
+        extra = {"minimal": answer.minimal}
+    else:
+        from .bipartite_blocker import solve_bipartite_contraction_blocker
+
+        answer = solve_bipartite_contraction_blocker(g, args.k, args.d)
+        chosen, after = answer.witness or (None, None)
+        before = answer.alpha_before
+        extra = {"graph_class": args.klass}
+    report = base_report(args.command, digest, time.perf_counter() - start)
+    witness = None
+    if answer.answer:
+        if args.op == "delete-vertices":
+            witness = {"vertices": vertices_payload(chosen)}
+        else:
+            witness = {"edges": edges_payload(chosen)}
     report.update(
         {
-            "operation": "contract",
-            "parameter": "alpha",
-            "graph_class": "bipartite",
+            "operation": args.op,
+            "parameter": args.param,
             "k": args.k,
             "d": args.d,
-            "answer": "yes" if outcome.answer else "no",
-            "witness": (
-                {"edges": edges_payload(outcome.witness.edges)}
-                if outcome.answer
-                else None
-            ),
-            "value_before": outcome.alpha_before,
-            "value_after": (
-                outcome.witness.claimed_alpha_after if outcome.answer else None
-            ),
+            "answer": "yes" if answer.answer else "no",
+            "witness": witness,
+            "value_before": before,
+            "value_after": after,
+            **extra,
         }
     )
     _emit(report)
-    return EXIT_YES if outcome.answer else EXIT_NO
+    return EXIT_YES if answer.answer else EXIT_NO
 
 
 def _cmd_mono(args) -> int:
@@ -150,38 +163,6 @@ def _cmd_mono(args) -> int:
         report["chi"] = t.chi
     _emit(report)
     return EXIT_YES
-
-
-def _cmd_oracle(args) -> int:
-    from .oracle import BlockerQuery, brute_blocker
-    from .report import base_report, edges_payload, vertices_payload
-
-    g, digest = _load_graph(args.graphfile)
-    start = time.perf_counter()
-    query = BlockerQuery(g, args.op, args.param, args.k, args.d)
-    answer = brute_blocker(query)
-    report = base_report("oracle", digest, time.perf_counter() - start)
-    witness = None
-    if answer.answer:
-        if args.op == "delete-vertices":
-            witness = {"vertices": vertices_payload(answer.witness)}
-        else:
-            witness = {"edges": edges_payload(answer.witness)}
-    report.update(
-        {
-            "operation": args.op,
-            "parameter": args.param,
-            "k": args.k,
-            "d": args.d,
-            "answer": "yes" if answer.answer else "no",
-            "witness": witness,
-            "value_before": answer.value_before,
-            "value_after": answer.value_after,
-            "minimal": answer.minimal,
-        }
-    )
-    _emit(report)
-    return EXIT_YES if answer.answer else EXIT_NO
 
 
 def _cmd_reduce(args) -> int:
@@ -302,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("graphfile")
-    p.set_defaults(fn=_cmd_oracle)
+    p.set_defaults(fn=_cmd_blocker)
 
     p = sub.add_parser("reduce", help="build a hardness gadget from an instance")
     p.add_argument("construction", choices=["vc2cb", "sat2chordal", "mss2mono"])

@@ -3,14 +3,16 @@
 These routines anchor the polynomial algorithms and the gadget constructions,
 so they must be simple enough to be obviously correct and must fail loudly
 (``CapacityExceededError``) instead of degrading when an instance is too large
-for exhaustive search.  The blocker search enumerates subsets by size and
-skips only layers whose outcome is already decided: (delete-edges, alpha)
-never drops, and for a monotone pair a miss in the top layer is a no.  Its
-budget counts every layer up to ``k``.
+for exhaustive search.  The blocker search, :func:`layered_search`, enumerates
+subsets by size and skips only layers whose outcome is already decided:
+(delete-edges, alpha) never drops, and for a monotone pair a miss in the top
+layer is a no.  Its budget counts every layer up to ``k``.  It takes the
+evaluator of each subset as an argument, so the bipartite blocker's ``k <= 2d``
+enumeration is the same search with that module's split evaluator.
 
-Each subset is decided against the target ``value_before - d`` on masks
-built once per query (:func:`_evaluator`): the neighbour masks of the graph
-and of its complement.  Deleting vertices shrinks the vertex mask the search
+In :func:`brute_blocker` each subset is decided against the target
+``value_before - d`` on masks built once per query (:func:`_evaluator`): the
+neighbour masks of the graph and of its complement.  Deleting vertices shrinks the vertex mask the search
 runs in, deleting edges ORs them into the complement masks, and contracting
 maps the masks through the union-find of :func:`graph._contract_masks`.  A
 search stops as soon as it finds an independent set or a clique above the
@@ -102,12 +104,20 @@ def _ground_set(g: Graph, operation: str) -> list:
     return list(range(g.n)) if operation == "delete-vertices" else g.edges()
 
 
-def _subset_count(m: int, k: int) -> int:
-    return sum(math.comb(m, i) for i in range(min(k, m) + 1))
-
-
 def brute_blocker(q: BlockerQuery, budget: Optional[int] = None) -> OracleAnswer:
-    """Exhaustive blocker decision with a minimum-size witness.
+    """Exhaustive blocker decision with a minimum-size witness, on the masks
+    of :func:`_evaluator`."""
+    return layered_search(q, lambda: _exact(q), budget)
+
+
+def layered_search(q: BlockerQuery, prepare: Callable[[], tuple[int, Callable]],
+                   budget: Optional[int] = None) -> OracleAnswer:
+    """The blocker search over subsets of the query's ground set.
+
+    ``prepare()`` returns the value before and the evaluator
+    ``value_after(subset, target)``, exact when at most ``target`` and
+    anything above it otherwise.  It runs after the capacity check, which
+    counts every layer up to ``k``, so no solver sees an oversized query.
 
     Subsets are enumerated by increasing size and lexicographically within a
     size, so the reported witness is deterministic: the lexicographically
@@ -122,17 +132,13 @@ def brute_blocker(q: BlockerQuery, budget: Optional[int] = None) -> OracleAnswer
       a miss there is a no.  After a hit the smaller layers are scanned in
       order, and the top layer's first hit answers if none of them hits.
 
-    Each subset is a hit when its value is at most ``value_before - d``.  The
-    evaluator, built once per query, may stop at any value above that
-    target, but it computes a hit's value exactly, so the witness and
-    ``value_after`` are those of a full scan with the exact solvers.
+    A subset is a hit when its value is at most ``value_before - d``.
     """
     ground = _ground_set(q.graph, q.operation)
     top = min(q.k, len(ground))
-    check_capacity(_subset_count(len(ground), top), "subsets", budget)
-    before = parameter_value(q.graph, q.parameter)
+    check_capacity(sum(math.comb(len(ground), i) for i in range(top + 1)), "subsets", budget)
+    before, value_after = prepare()
     target = before - q.d
-    value_after = _evaluator(q.graph, q.operation, q.parameter)
     pair = (q.operation, q.parameter)
     last = None  # the top layer's first hit, when it was scanned ahead
     if pair == ("delete-edges", "alpha"):
@@ -169,9 +175,14 @@ def brute_blocker_decision(q: BlockerQuery) -> OracleAnswer:
     ground = _ground_set(q.graph, q.operation)
     top = min(q.k, len(ground))
     check_capacity(math.comb(len(ground), top), "subsets")
-    before = parameter_value(q.graph, q.parameter)
-    value_after = _evaluator(q.graph, q.operation, q.parameter)
+    before, value_after = _exact(q)
     return _answer(_first_hit(value_after, ground, top, before - q.d), False, before)
+
+
+def _exact(q: BlockerQuery) -> tuple[int, Callable]:
+    """The exact value before, then the evaluator: the solver's vertex
+    ceiling refuses a large graph before its masks are built."""
+    return parameter_value(q.graph, q.parameter), _evaluator(q.graph, q.operation, q.parameter)
 
 
 def _first_hit(value_after: Callable, ground: list, size: int, target: int) -> Optional[tuple]:

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from blockerlab import bipartite_blocker
 from blockerlab.bipartite_blocker import (
     MAX_SUPPORTED_D,
     alpha_after_contraction_bipartite,
@@ -169,6 +171,23 @@ def test_solver_rejects_bad_inputs():
         solve_bipartite_contraction_blocker(path_graph(4), -1, 1)
     with pytest.raises(ValueError):
         solve_bipartite_contraction_blocker(path_graph(4), 1, 4)
+
+
+def test_enumeration_scans_the_top_layer_first(monkeypatch):
+    """(contract, alpha) is monotone, so a no scans only the top layer.  The
+    calls are counted through the module attribute, the name the benchmark's
+    spans rebind."""
+    calls = 0
+    evaluate = bipartite_blocker.alpha_after_contraction_bipartite
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(bipartite_blocker, "alpha_after_contraction_bipartite", counted)
+    assert not solve_bipartite_contraction_blocker(cycle_graph(10), 2, 2).answer
+    assert calls == math.comb(10, 2) == 45
 
 
 def _enumeration_queries(n_min, n_max):
