@@ -7,13 +7,12 @@ The solver dispatches on instance shape:
 2. with ``k >= 2d+1`` the answer is always yes: a tree with ``2d`` or
    ``2d+1`` edges grown around a maximum matching contracts to a single
    vertex whose removal leaves a graph with alpha at most ``alpha - d - 1``;
-3. otherwise ``k <= 2d`` and subset enumeration is constant-degree
-   polynomial.  It is the oracle's layered search
-   (:func:`oracle.layered_search`), refused with
-   :class:`CapacityExceededError` when the number of subsets passes the
-   configured budget; alpha of each contracted graph is computed by
-   splitting an independent set into contracted and untouched vertices, the
-   untouched part being bipartite.
+3. otherwise ``k <= 2d``: the oracle's layered search
+   (:func:`oracle.layered_search`) over sets of at most ``k`` edges, which is
+   constant-degree polynomial and refused with :class:`CapacityExceededError`
+   when the number of subsets passes the configured budget; alpha of each
+   contracted graph is computed by splitting an independent set into
+   contracted and untouched vertices, the untouched part being bipartite.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ enumeration is the same search with that module's split evaluator.
 
 In :func:`brute_blocker` each subset is decided against the target
 ``value_before - d`` on masks built once per query (:func:`_evaluator`): the
-neighbour masks of the graph and of its complement.  Deleting vertices shrinks the vertex mask the search
-runs in, deleting edges ORs them into the complement masks, and contracting
-maps the masks through the union-find of :func:`graph._contract_masks`.  A
-search stops as soon as it finds an independent set or a clique above the
-target, so a miss costs little; a hit is searched to the end, so a reported
-``value_after`` is exact.  The exact solvers' vertex ceilings are checked
-on the input graph, which no operation makes larger.
+neighbour masks of the graph and of its complement.  Deleting vertices
+shrinks the vertex mask the search runs in, deleting edges ORs them into the
+complement masks, and contracting maps the masks through the union-find of
+:func:`graph._contract_masks`.  A search stops as soon as it finds an
+independent set or a clique above the target, so a miss costs little; a hit
+is searched to the end, so a reported ``value_after`` is exact.  The exact
+solvers' vertex ceilings are checked on the input graph, which no operation
+makes larger.
 """
 
 from __future__ import annotations
