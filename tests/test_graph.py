@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockerlab.catalogue import graph_catalogue
+from blockerlab.catalogue import CATALOGUE_CLASSES, graph_catalogue, random_connected_graph
 from blockerlab.errors import InvalidEdgeError, InvalidVertexError
 from blockerlab.graph import (
     Graph,
@@ -360,3 +360,29 @@ def test_graph_operations_equal_their_definitions():
         for u in vertex_sets:
             assert delete_vertices(g, u) == _textbook_vertex_deletion(g, set(u))
             _assert_simple(delete_vertices(g, u)[0])
+
+
+def _contraction_inputs():
+    """(graph, edge set): every connected catalogue graph with n <= 6 with
+    every edge set of size <= 3, then seeded connected graphs with 8 to 10
+    vertices and edge sets of every size."""
+    seen = set()
+    for clazz in CATALOGUE_CLASSES:
+        for g in graph_catalogue(clazz, 6):
+            if g in seen or not g.is_connected():
+                continue
+            seen.add(g)
+            for r in range(4):
+                for s in itertools.combinations(g.edges(), r):
+                    yield g, s
+    rng = random.Random(1931)
+    for i in range(30):
+        g = random_connected_graph(rng, 8 + i % 3, 0.4)
+        edges = g.edges()
+        for _ in range(20):
+            yield g, rng.sample(edges, rng.randint(0, len(edges)))
+
+
+def test_contraction_equals_its_definition_on_connected_graphs():
+    for g, s in _contraction_inputs():
+        assert contract_edges(g, s) == _textbook_contraction(g, s)
