@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import CertificateError
-from .graph import Edge, Graph, bits, contract_edges, to_mask, validate_edge_set
+from .graph import Edge, Graph, _merge, bits, to_mask, validate_edge_set
 from .oracle import BlockerQuery, OracleAnswer, brute_blocker, layered_search
 from .parameters import bipartite_matching, koenig_pair
 from .recognizers import Bipartition, NotInClass, recognize_bipartite, validate_bipartition
@@ -88,17 +88,16 @@ def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
     Splits every independent set of the contracted graph into merged
     vertices ``U'`` and untouched vertices outside ``N(U')``; the untouched
     side is an induced subgraph of the bipartite input, so its alpha is its
-    size less a maximum matching.
+    size less a maximum matching.  The merged vertices and their
+    neighbourhoods are read from the masks of :func:`graph._merge`, which
+    keep the indices of ``g``.
     """
     s = validate_edge_set(g, s)
     validate_bipartition(g, cert)
-    _, comp = contract_edges(g, s)
+    adj, universe, _ = _merge(g.adj, s)
     touched = to_mask(v for e in s for v in e)
-    classes: dict[int, tuple[int, int]] = {}  # merged vertex -> (its class, their neighbours)
-    for v in bits(touched):
-        cls, nbrs = classes.get(comp[v], (0, 0))
-        classes[comp[v]] = (cls | 1 << v, nbrs | g.adj[v])
-    merged = [(cls, nbrs & ~cls) for cls, nbrs in classes.values()]
+    # The merged vertices, each as a mask with its neighbours.
+    merged = [(1 << v, adj[v]) for v in bits(touched & universe)]
     untouched = ((1 << g.n) - 1) & ~touched
     left = to_mask(cert.left)
 
@@ -106,11 +105,11 @@ def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
     for r in range(len(merged) + 1):
         for chosen in combinations(merged, r):
             inside = nbrs = 0
-            for cls, around in chosen:
-                inside |= cls
+            for vertex, around in chosen:
+                inside |= vertex
                 nbrs |= around
             if inside & nbrs:
-                continue  # two chosen classes are adjacent
+                continue  # two chosen merged vertices are adjacent
             rest = untouched & ~nbrs
             mate, _ = bipartite_matching(g.adj, rest & left, rest & ~left)
             best = max(best, r + rest.bit_count() - len(mate) // 2)

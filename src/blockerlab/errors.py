@@ -58,11 +58,22 @@ class CapacityExceededError(BlockerlabError):
 
 
 def configured_budget(budget: int | None = None) -> int:
-    """The work budget: ``budget`` if given, else ``$BLOCKERLAB_BUDGET``, else the default."""
+    """The work budget: ``budget`` if given, else ``$BLOCKERLAB_BUDGET``, else the default.
+
+    A variable that is not a non-negative integer is a ``ValueError`` naming it.
+    """
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}")
+    return value
 
 
 def check_capacity(needed: int, unit: str, budget: int | None = None) -> None:

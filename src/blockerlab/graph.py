@@ -12,7 +12,7 @@ Edges are normalised ``(u, v)`` tuples with ``u < v``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidEdgeError, InvalidVertexError
 
@@ -42,7 +42,7 @@ def to_mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def components(adj: tuple[int, ...], mask: int, co: bool = False) -> list[int]:
+def components(adj: Sequence[int], mask: int, co: bool = False) -> list[int]:
     """Components of ``G[mask]``, or of its complement when ``co``, as
     bitmasks ordered by least vertex."""
     parts = []
@@ -143,7 +143,7 @@ def _from_masks(adj: list[int]) -> Graph:
     return g
 
 
-def _image(mask: int, new: list[int] | dict[int, int]) -> int:
+def _image(mask: int, new: dict[int, int]) -> int:
     """The mask of ``new[v]`` over the set bits ``v`` of ``mask``."""
     out = 0
     while mask:
@@ -189,46 +189,55 @@ def contract_edges(
     contracted graph plus a map ``old vertex -> new vertex`` so that witnesses
     on the result can be translated back.
     """
-    adj, comp = _contract_masks(g.adj, validate_edge_set(g, s))
-    return _from_masks(adj), tuple(comp)
+    adj, universe, into = _merge(g.adj, validate_edge_set(g, s))
+    contracted, new = _induced(adj, universe)
+    comp = []
+    for v in range(g.n):
+        root = v
+        while root in into:
+            root = into[root]
+        comp.append(new[root])
+    return contracted, tuple(comp)
 
 
-def _contract_masks(adj: tuple[int, ...], s: Iterable[Edge]) -> tuple[list[int], list[int]]:
-    """Neighbour masks after contracting the pairs of ``s``, which must be
-    edges of the graph of ``adj``, and the map old vertex -> new vertex."""
-    parent = list(range(len(adj)))
+def _merge(adj: tuple[int, ...], s: Iterable[Edge]) -> tuple[list[int], int, dict[int, int]]:
+    """Contract the pairs of ``s``, which must be edges of the graph of
+    ``adj``, keeping vertex indices.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    A union-find whose union is the contraction: of two merged vertices the
+    lesser stays, so each component of the restriction to ``s`` ends in its
+    least vertex.  The other one leaves the vertex mask ``universe``, and
+    its neighbours are rewired to the one that stays.  Returns the neighbour
+    masks, in which every vertex of ``universe`` has a mask inside
+    ``universe`` (the masks of the others are stale), ``universe``, and the
+    map from each vertex that left to the one it merged into.
+    """
+    a = list(adj)
+    universe = (1 << len(adj)) - 1
+    into: dict[int, int] = {}
     for u, v in s:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    # A root is the least vertex of its component, so it is numbered before
-    # the rest of its component, and new numbers follow the order of roots.
-    # merged[c] is the union of the old neighbour masks of component c.
-    comp = [0] * len(adj)
-    merged: list[int] = []
-    for v, nbrs in enumerate(adj):
-        r = find(v)
-        if r == v:
-            comp[v] = len(merged)
-            merged.append(nbrs)
-        else:
-            comp[v] = c = comp[r]
-            merged[c] |= nbrs
-
-    return [_image(m, comp) & ~(1 << c) for c, m in enumerate(merged)], comp
+        while u in into:
+            u = into[u]
+        while v in into:
+            v = into[v]
+        if u == v:
+            continue
+        if u > v:
+            u, v = v, u
+        into[v] = u
+        stays, leaves = 1 << u, 1 << v
+        # u and v are adjacent: an edge of s joins their components.
+        nbrs = a[v] & ~stays
+        a[u] = (a[u] | nbrs) & ~leaves
+        for w in bits(nbrs):
+            a[w] = a[w] & ~leaves | stays
+        universe ^= leaves
+    return a, universe, into
 
 
 def delete_vertices(g: Graph, u: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on ``V - u`` plus the old->new reindexing map."""
-    return _induced(g, ((1 << g.n) - 1) & ~to_mask(validate_vertex_set(g, u)))
+    return _induced(g.adj, ((1 << g.n) - 1) & ~to_mask(validate_vertex_set(g, u)))
 
 
 def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
@@ -245,13 +254,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 
     New indices follow the sorted order of the kept vertices.
     """
-    return _induced(g, to_mask(validate_vertex_set(g, vertices)))
+    return _induced(g.adj, to_mask(validate_vertex_set(g, vertices)))
 
 
-def _induced(g: Graph, inside: int) -> tuple[Graph, dict[int, int]]:
+def _induced(adj: Sequence[int], inside: int) -> tuple[Graph, dict[int, int]]:
+    """The graph the masks ``adj`` induce on ``inside``, renumbered in
+    order, and the old->new map of the kept vertices."""
     keep = list(bits(inside))
     remap = {old: new for new, old in enumerate(keep)}
-    return _from_masks([_image(g.adj[old] & inside, remap) for old in keep]), remap
+    return _from_masks([_image(adj[old] & inside, remap) for old in keep]), remap
 
 
 def is_forest(g: Graph) -> bool:

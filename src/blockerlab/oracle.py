@@ -13,25 +13,26 @@ enumeration is the same search with that module's split evaluator.
 In :func:`brute_blocker` each subset is decided against the target
 ``value_before - d`` on masks built once per query (:func:`_evaluator`): the
 neighbour masks of the graph and of its complement.  Deleting vertices
-shrinks the vertex mask the search runs in, deleting edges ORs them into the
-complement masks, and contracting maps the masks through the union-find of
-:func:`graph._contract_masks`.  A search stops as soon as it finds an
-independent set or a clique above the target, so a miss costs little; a hit
-is searched to the end, so a reported ``value_after`` is exact.  The exact
-solvers' vertex ceilings are checked on the input graph, which no operation
-makes larger.
+shrinks the vertex mask the search runs in, and deleting edges ORs them into
+the complement masks.  Contracting merges each component of the contracted
+edges into its least vertex without renumbering (:func:`graph._merge`): the
+other members leave the vertex mask, and only omega and chi rebuild the
+complement masks.  A search stops as soon as it finds an independent set or
+a clique above the target, so a miss costs little; a hit is searched to the
+end, so a reported ``value_after`` is exact.  The exact solvers' vertex
+ceilings are checked on the input graph, which no operation makes larger.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import check_capacity
 from .graph import (
     Graph,
-    _contract_masks,
+    _merge,
     contract_edges,
     delete_edges,
     delete_vertices,
@@ -224,9 +225,9 @@ def _evaluator(g: Graph, operation: str, parameter: str) -> Callable[[tuple, int
                 c[u] |= 1 << v
                 c[v] |= 1 << u
         else:
-            a = _contract_masks(adj, subset)[0]
-            universe = (1 << len(a)) - 1
-            c = [universe & ~(m | 1 << v) for v, m in enumerate(a)]
+            a, universe, _ = _merge(adj, subset)
+            if parameter != "alpha":
+                c = [universe & ~(m | 1 << v) for v, m in enumerate(a)]
         if parameter == "alpha":
             return _max_independent_mask(a, universe, target).bit_count()
         clique = _max_independent_mask(c, universe, target).bit_count()

@@ -480,6 +480,14 @@ def test_capacity_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_bad_budget_variable_is_a_usage_error(value, capsys, p4_file, monkeypatch):
+    monkeypatch.setenv("BLOCKERLAB_BUDGET", value)
+    code = main(["oracle", "--op", "contract", "--param", "alpha", "-k", "1", "-d", "1", p4_file])
+    assert code == 2
+    assert "BLOCKERLAB_BUDGET must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_blocker_enumeration_is_budgeted(capsys, tmp_path, monkeypatch):
     # C_40 with k=4 <= 2d enumerates 102,091 edge sets: refused, not run.
     monkeypatch.setenv("BLOCKERLAB_BUDGET", "1000")

@@ -2,7 +2,13 @@ import pytest
 
 from blockerlab.bipartite_blocker import solve_bipartite_contraction_blocker
 from blockerlab.cotree import build_cotree
-from blockerlab.errors import BUDGET_ENV_VAR, CapacityExceededError, check_capacity
+from blockerlab.errors import (
+    BUDGET_ENV_VAR,
+    DEFAULT_BUDGET,
+    CapacityExceededError,
+    check_capacity,
+    configured_budget,
+)
 from blockerlab.graph import Graph, complete_bipartite_graph, complete_graph, cycle_graph
 from blockerlab.monochromatic import min_mono_edges_deficiency, min_mono_edges_fixed_h
 from blockerlab.oracle import (
@@ -70,3 +76,22 @@ def test_gate_admits_exactly_the_budget(monkeypatch):
     check_capacity(41, "vertices", 41)  # a fixed ceiling ignores the environment
     with pytest.raises(CapacityExceededError, match="^8 units exceed the budget of 7$"):
         check_capacity(8, "units")
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5", "-0x10"])
+def test_budget_variable_must_be_a_non_negative_integer(value, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    with pytest.raises(ValueError, match=f"^{BUDGET_ENV_VAR} must be a non-negative integer, got '{value}'$"):
+        check_capacity(1, "units")
+    # A solver refuses the same way before it starts, and the CLI maps a
+    # ValueError to exit 2.
+    with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
+        brute_blocker(BlockerQuery(cycle_graph(4), "contract", "alpha", 1, 1))
+
+
+def test_budget_variable_accepts_zero_and_defaults_when_empty(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+    assert configured_budget() == 0
+    monkeypatch.setenv(BUDGET_ENV_VAR, "")
+    assert configured_budget() == DEFAULT_BUDGET
+    assert configured_budget(3) == 3

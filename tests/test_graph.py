@@ -10,6 +10,7 @@ from blockerlab.catalogue import CATALOGUE_CLASSES, graph_catalogue, random_conn
 from blockerlab.errors import InvalidEdgeError, InvalidVertexError
 from blockerlab.graph import (
     Graph,
+    _merge,
     bits,
     complete_bipartite_graph,
     components,
@@ -383,6 +384,21 @@ def _contraction_inputs():
             yield g, rng.sample(edges, rng.randint(0, len(edges)))
 
 
-def test_contraction_equals_its_definition_on_connected_graphs():
+def test_merge_keeps_indices_and_renumbers_to_the_contraction():
     for g, s in _contraction_inputs():
-        assert contract_edges(g, s) == _textbook_contraction(g, s)
+        expected = _textbook_contraction(g, s)
+        assert contract_edges(g, s) == expected
+        masks, universe, into = _merge(g.adj, validate_edge_set(g, s))
+        live = list(bits(universe))
+        for v in live:
+            assert not masks[v] & ~universe and not masks[v] >> v & 1
+            assert all(masks[w] >> v & 1 for w in bits(masks[v]))
+        # The test's own renumbering over universe; a vertex that left
+        # follows ``into`` to a live vertex, which is less than it.
+        new = {v: i for i, v in enumerate(live)}
+        root = list(range(g.n))
+        for v in sorted(into):
+            assert into[v] < v and not universe >> v & 1
+            root[v] = root[into[v]]
+        renumbered = Graph(len(live), [(new[u], new[w]) for u in live for w in bits(masks[u]) if u < w])
+        assert (renumbered, tuple(new[r] for r in root)) == expected

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,21 @@ def test_capacity_error_is_built_only_by_the_gate(module):
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CapacityExceededError"
     ]
     assert not lines, f"{module} builds CapacityExceededError on lines {lines}"
+
+
+# Modules use postponed annotations, so a name an annotation uses but the
+# module never imports goes unnoticed until something resolves it.
+@pytest.mark.parametrize("module", MODULES)
+def test_every_function_annotation_resolves(module):
+    mod = importlib.import_module(f"blockerlab.{module[:-3]}".replace(".__init__", ""))
+    functions = []
+    for obj in vars(mod).values():
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            functions.append(obj)
+        elif inspect.isclass(obj):
+            functions.extend(f for f in vars(obj).values() if inspect.isfunction(f))
+    assert functions or module == "__init__.py"
+    for function in functions:
+        typing.get_type_hints(function)
