@@ -70,8 +70,8 @@ def configured_budget(budget: int | None = None) -> int:
     try:
         value = int(env)
     except ValueError:
-        value = -1
-    if value < 0:
+        value = None
+    if value is None or value < 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}")
     return value
 

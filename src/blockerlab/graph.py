@@ -42,7 +42,7 @@ def to_mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def components(adj: Sequence[int], mask: int, co: bool = False) -> list[int]:
+def components(adj: tuple[int, ...], mask: int, co: bool = False) -> list[int]:
     """Components of ``G[mask]``, or of its complement when ``co``, as
     bitmasks ordered by least vertex."""
     parts = []
@@ -191,12 +191,9 @@ def contract_edges(
     """
     adj, universe, into = _merge(g.adj, validate_edge_set(g, s))
     contracted, new = _induced(adj, universe)
-    comp = []
-    for v in range(g.n):
-        root = v
-        while root in into:
-            root = into[root]
-        comp.append(new[root])
+    comp: list[int] = []
+    for v in range(g.n):  # a vertex merges into a lesser one
+        comp.append(comp[into[v]] if v in into else new[v])
     return contracted, tuple(comp)
 
 
@@ -216,10 +213,11 @@ def _merge(adj: tuple[int, ...], s: Iterable[Edge]) -> tuple[list[int], int, dic
     universe = (1 << len(adj)) - 1
     into: dict[int, int] = {}
     for u, v in s:
+        # Find both roots, halving the paths to them.
         while u in into:
-            u = into[u]
+            into[u] = u = into.get(into[u], into[u])
         while v in into:
-            v = into[v]
+            into[v] = v = into.get(into[v], into[v])
         if u == v:
             continue
         if u > v:
