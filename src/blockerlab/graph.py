@@ -215,9 +215,11 @@ def _merge(adj: tuple[int, ...], s: Iterable[Edge]) -> tuple[list[int], int, dic
     for u, v in s:
         # Find both roots, halving the paths to them.
         while u in into:
-            into[u] = u = into.get(into[u], into[u])
+            into[u] = into.get(into[u], into[u])
+            u = into[u]
         while v in into:
-            into[v] = v = into.get(into[v], into[v])
+            into[v] = into.get(into[v], into[v])
+            v = into[v]
         if u == v:
             continue
         if u > v:
