@@ -224,3 +224,17 @@ def test_enumeration_witness_is_the_oracles():
 @pytest.mark.slow
 def test_enumeration_witness_is_the_oracles_at_8_vertices():
     assert _assert_enumeration_equals_oracle(_enumeration_queries(8, 8)) == 2184
+
+
+def _tiny_queries():
+    """(graph, k, d) for every connected bipartite catalogue graph with
+    2 <= n <= 2d+1 and every k from 0 to its edge count."""
+    for g in graph_catalogue("bipartite", 7):
+        for d in range(1, MAX_SUPPORTED_D + 1):
+            if 2 <= g.n <= 2 * d + 1:
+                for k in range(g.edge_count() + 1):
+                    yield g, k, d
+
+
+def test_tiny_graphs_answer_as_the_oracle():
+    assert _assert_enumeration_equals_oracle(_tiny_queries()) == 605

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -450,6 +451,46 @@ def test_dps_invariant_under_chain_reassociation():
                     row.append(min_mono_edges_deficiency(t, 1)[0])
                 results.append(tuple(row))
             assert len(set(results)) == 1
+
+
+def _node_index(x):
+    from blockerlab.cotree import CotreeInner, CotreeLeaf
+
+    return x.index if isinstance(x, (CotreeInner, CotreeLeaf)) else x
+
+
+def test_deficiency_memo_is_pinned(monkeypatch):
+    # Every state the deficiency DP evaluates, in the order its value is
+    # stored, with that value and its reconstruction choice (cotree nodes as
+    # indices), over the cograph catalogue up to 8 vertices.  A rewrite of a
+    # transition must keep all three, so the memo, the point where a budget
+    # refuses it and the reconstructed colouring stay the same.
+    from blockerlab import monochromatic
+
+    made = []
+
+    class Recorded(monochromatic._DeficiencyDP):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(monochromatic, "_DeficiencyDP", Recorded)
+    digest = hashlib.sha256()
+    states = 0
+    for g in graph_catalogue("cograph", 8):
+        t = build_cotree(g)
+        for d in range(1, min(3, t.chi - 1) + 1):
+            made.clear()
+            min_mono_edges_deficiency(t, d)
+            (dp,) = made
+            rows = []
+            for key, value in dp.memo.items():
+                choice = dp.choice.get(key) or ()  # none for an infeasible state
+                rows.append((key, value, tuple(_node_index(x) for x in choice)))
+            states += len(rows)
+            digest.update(repr(rows).encode())
+    assert states == 83365
+    assert digest.hexdigest()[:16] == "3e5965b5efe20c10"
 
 
 def test_deficiency_reconstruction_is_rank_aligned():
