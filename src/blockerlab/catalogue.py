@@ -25,7 +25,7 @@ import random
 from typing import Iterator
 
 from .cotree import Cotree, CotreeInner, CotreeLeaf, CotreeNode, realize_cotree
-from .graph import Graph, bits
+from .graph import Graph, bits, complete_multipartite_graph
 from .isomorphism import dedup_isomorphic
 from .recognizers import recognize_bipartite
 
@@ -179,15 +179,7 @@ def _cograph_catalogue(n_max: int) -> Iterator[Graph]:
 def _multipartite_catalogue(n_max: int) -> Iterator[Graph]:
     for n in range(1, n_max + 1):
         for parts in _partitions(n):
-            sizes = list(parts)
-            offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-            edges = []
-            for i in range(len(sizes)):
-                for j in range(i + 1, len(sizes)):
-                    for a in range(sizes[i]):
-                        for b in range(sizes[j]):
-                            edges.append((offsets[i] + a, offsets[j] + b))
-            g = Graph(n, edges)
+            g = complete_multipartite_graph(parts)
             if g.is_connected():
                 yield g
 

@@ -327,8 +327,19 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
+    """Parts of the given sizes, numbered part by part; two vertices are
+    adjacent exactly when they lie in different parts."""
+    full = (1 << sum(sizes)) - 1
+    adj, low = [], 0
+    for size in sizes:
+        adj += [full & ~(((1 << size) - 1) << low)] * size
+        low += size
+    return _from_masks(adj)
+
+
 def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return complete_multipartite_graph((a, b))
 
 
 def star_graph(leaves: int) -> Graph:

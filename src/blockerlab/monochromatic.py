@@ -37,6 +37,9 @@ from .graph import Edge, Graph, bits, to_mask
 
 Colouring = tuple[int, ...]
 
+# The budget counts memo states, but a join node tries C(mq, lam) * P(mr, lam)
+# matchings per pair of frontier tuples, with lam <= d: work that no budget
+# counts, so d stays capped until a meter charges it.
 MAX_SUPPORTED_DEFICIENCY = 3
 
 INF = math.inf
@@ -82,42 +85,6 @@ def recolour_module(g: Graph, c: Sequence[int], module) -> Colouring:
     for v in module:
         out[v] = best
     return tuple(out)
-
-
-# -- lambda matchings ----------------------------------------------------------
-
-
-def _check_matching(mu, len_a: int, len_b: int) -> None:
-    lefts = [i for i, _ in mu]
-    rights = [j for _, j in mu]
-    if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-        raise ValueError("matching indices must be pairwise distinct per side")
-    if any(not 0 <= i < len_a for i in lefts) or any(
-        not 0 <= j < len_b for j in rights
-    ):
-        raise ValueError("matching index out of range")
-
-
-def lambda_val(mu, a: Sequence[int], b: Sequence[int]) -> int:
-    """Sum of products of matched entries."""
-    _check_matching(mu, len(a), len(b))
-    return sum(a[i] * b[j] for i, j in mu)
-
-
-def lambda_merge(mu, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Sorted merge: matched sums plus unmatched entries of both tuples."""
-    _check_matching(mu, len(a), len(b))
-    return tuple(_merge(mu, a, b))
-
-
-def _merge(mu, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """:func:`lambda_merge` without validating the matching."""
-    lefts = {i for i, _ in mu}
-    rights = {j for _, j in mu}
-    merged = [a[i] + b[j] for i, j in mu]
-    merged += [a[i] for i in range(len(a)) if i not in lefts]
-    merged += [b[j] for j in range(len(b)) if j not in rights]
-    return sorted(merged)
 
 
 # -- fixed number of colours ---------------------------------------------------
@@ -225,7 +192,7 @@ def min_mono_edges_deficiency(t: Cotree, d: int) -> tuple[int, Colouring]:
         raise ValueError(f"d <= {MAX_SUPPORTED_DEFICIENCY} supported, got {d}")
     if d > chi - 1:
         raise ValueError(f"d must be below the chromatic number {chi}")
-    dp = _DeficiencyDP(t, d)
+    dp = _DeficiencyDP(t)
     value = dp.value(t.root, (), d)
     if value is INF:
         raise CertificateError(
@@ -303,7 +270,7 @@ class _DeficiencyDP:
     value or classes, so cotree depth is not bounded by the recursion limit.
     """
 
-    def __init__(self, t: Cotree, d: int):
+    def __init__(self, t: Cotree):
         stats = t.stats()
         self.size = stats.size
         self.chi = stats.chi
@@ -387,54 +354,25 @@ class _DeficiencyDP:
     def _union_node(self, node, bounds, delta):
         q, r = self._ordered_children(node)
         delta_gap = self.chi[q.index] - self.chi[r.index]
-        ell = len(bounds)
+        # Classes align by size rank, largest first.  q's smallest ``off``
+        # bounded slots are the ones it has beyond r's ``chi - dr``, so they
+        # live in q alone; every other bound is shared by the two children.
+        off = min(len(bounds), max(delta_gap - delta, 0))
+        dr = max(delta - delta_gap, 0)
+        head, tail = bounds[:off], bounds[off:]
+        size_q, size_r = self.size[q.index], self.size[r.index]
         best, best_choice = INF, None
-
-        if delta >= delta_gap:
-            # Both children span all slots; ranks align one to one.
-            caps = [min(b, self.size[q.index]) for b in bounds]
-            for bq in _ascending_tuples(ell, self.size[q.index], caps):
-                vq = yield q, bq, delta
-                if vq is INF:
-                    continue
-                br = _suffix_min(
-                    [
-                        min(bounds[i] - bq[i], self.size[r.index])
-                        for i in range(ell)
-                    ]
-                )
-                vr = yield r, br, delta - delta_gap
-                if vq + vr < best:
-                    best = vq + vr
-                    best_choice = ("union", q, r, bq, delta, br, delta - delta_gap)
-        elif delta + ell >= delta_gap:
-            # The smallest delta_gap - delta slots live in q alone.
-            off = delta_gap - delta
-            tail = ell - off
-            caps = [min(bounds[off + j], self.size[q.index]) for j in range(tail)]
-            for suffix in _ascending_tuples(tail, self.size[q.index], caps):
-                bq = _suffix_min(tuple(bounds[:off]) + suffix)
-                vq = yield q, bq, delta
-                if vq is INF:
-                    continue
-                br = _suffix_min(
-                    [
-                        min(bounds[off + j] - suffix[j], self.size[r.index])
-                        for j in range(tail)
-                    ]
-                )
-                vr = yield r, br, 0
-                if vq + vr < best:
-                    best = vq + vr
-                    best_choice = ("union", q, r, bq, delta, br, 0)
-        else:
-            # All constrained slots are exclusive to q; r is coloured freely
-            # and properly with its own chi colours.
-            vq = yield q, bounds, delta
-            vr = yield r, (), 0
+        caps = [min(b, size_q) for b in tail]
+        for suffix in _ascending_tuples(len(tail), size_q, caps):
+            bq = _suffix_min(head + suffix)
+            vq = yield q, bq, delta
+            if vq is INF:
+                continue
+            br = _suffix_min([min(b - x, size_r) for b, x in zip(tail, suffix)])
+            vr = yield r, br, dr
             if vq + vr < best:
                 best = vq + vr
-                best_choice = ("union", q, r, bounds, delta, (), 0)
+                best_choice = ("union", q, r, bq, delta, br, dr)
         return best, best_choice
 
     def _join_node(self, node, bounds, delta):
@@ -523,6 +461,16 @@ def _lambda_matchings(mq: int, mr: int, lam: int):
     for lefts in combinations(range(mq), lam):
         for rights in permutations(range(mr), lam):
             yield tuple(zip(lefts, rights))
+
+
+def _merge(mu, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sorted merge: matched sums plus unmatched entries of both tuples."""
+    lefts = {i for i, _ in mu}
+    rights = {j for _, j in mu}
+    merged = [a[i] + b[j] for i, j in mu]
+    merged += [a[i] for i in range(len(a)) if i not in lefts]
+    merged += [b[j] for j in range(len(b)) if j not in rights]
+    return sorted(merged)
 
 
 # -- structural property of rank-aligned colourings ----------------------------

@@ -18,6 +18,7 @@ document, so every output is certified rather than assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, CriticalityError, GadgetPreconditionError
@@ -26,6 +27,7 @@ from .graph import (
     Graph,
     bits,
     complete_graph,
+    complete_multipartite_graph,
     contains_induced,
     contract_edges,
     delete_vertices,
@@ -275,26 +277,14 @@ def build_mss_gadget(mss: MssInstance) -> tuple[Graph, MssGadgetMap, MssTarget]:
     The monochromatic-edge budget is J/2 - D with D half the sum of squared
     entries; counts are integers, so the floor is an equivalent budget.
     """
-    offsets = []
-    total = 0
-    for x in mss.a:
-        offsets.append(total)
-        total += x
-    edges = []
-    for j in range(mss.ell):
-        for jp in range(j + 1, mss.ell):
-            for u in range(offsets[j], offsets[j] + mss.a[j]):
-                for v in range(offsets[jp], offsets[jp] + mss.a[jp]):
-                    edges.append((u, v))
-    gadget = Graph(total, edges)
+    gadget = complete_multipartite_graph(mss.a)
     if not isinstance(recognize_complete_multipartite(gadget), MultipartiteParts):
         raise CertificateError("mss gadget is not complete multipartite")
 
     D = Fraction(sum(x * x for x in mss.a), 2)
     exact = Fraction(mss.J, 2) - D
-    parts = tuple(
-        tuple(range(offsets[j], offsets[j] + mss.a[j])) for j in range(mss.ell)
-    )
+    starts = list(accumulate(mss.a, initial=0))
+    parts = tuple(tuple(range(starts[j], starts[j + 1])) for j in range(mss.ell))
     target = MssTarget(exact=exact, budget=_floor(exact))
     return gadget, MssGadgetMap(parts=parts, instance=mss), target
 

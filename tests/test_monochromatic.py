@@ -17,10 +17,9 @@ from blockerlab.graph import (
 )
 from blockerlab.errors import BUDGET_ENV_VAR, CapacityExceededError
 from blockerlab.monochromatic import (
+    _merge,
     count_monochromatic_edges,
     has_property_one,
-    lambda_merge,
-    lambda_val,
     min_mono_edges_deficiency,
     min_mono_edges_fixed_h,
     monochromatic_edge_set,
@@ -95,23 +94,12 @@ def test_recolour_rejects_non_module():
 def test_lambda_matching_figure_example():
     mu = ((0, 1), (2, 3), (3, 2))
     a, b = (5, 2, 7, 1), (3, 9, 4, 8)
-    assert lambda_merge(mu, a, b) == (2, 3, 5, 14, 15)
-    assert lambda_val(mu, a, b) == 105
+    assert _merge(mu, a, b) == [2, 3, 5, 14, 15]
 
 
 def test_lambda_edge_cases():
-    assert lambda_merge((), (1, 2), (3, 4)) == (1, 2, 3, 4)
-    assert lambda_val((), (1, 2), (3, 4)) == 0
-    mu = ((0, 0), (1, 1))
-    assert lambda_merge(mu, (1, 1), (1, 1)) == (2, 2)
-    assert lambda_val(mu, (1, 1), (1, 1)) == 2
-
-
-def test_lambda_validation():
-    with pytest.raises(ValueError):
-        lambda_val(((0, 0), (0, 1)), (1, 2), (3, 4))
-    with pytest.raises(ValueError):
-        lambda_merge(((5, 0),), (1, 2), (3, 4))
+    assert _merge((), (1, 2), (3, 4)) == [1, 2, 3, 4]
+    assert _merge(((0, 0), (1, 1)), (1, 1), (1, 1)) == [2, 2]
 
 
 @given(
@@ -129,13 +117,12 @@ def test_lambda_merge_properties(entries, entries2, lam, seed):
     lefts = rng.sample(range(ell), lam)
     rights = rng.sample(range(ell), lam)
     mu = tuple(zip(lefts, rights))
-    merged = lambda_merge(mu, a, b)
+    merged = _merge(mu, a, b)
     assert len(merged) == 2 * ell - lam
     assert all(merged[i] <= merged[i + 1] for i in range(len(merged) - 1))
     assert sum(merged) == sum(a) + sum(b)
-    # Swapping the tuples and transposing every pair leaves the value fixed.
-    transposed = tuple((j, i) for i, j in mu)
-    assert lambda_val(mu, a, b) == lambda_val(transposed, b, a)
+    # Swapping the tuples and transposing every pair gives the same merge.
+    assert _merge(tuple((j, i) for i, j in mu), b, a) == merged
 
 
 def test_fixed_h_examples():
@@ -247,7 +234,7 @@ def test_deficiency_frontier_prunes_and_matches_fixed_h():
             assert count == min_mono_edges_fixed_h(t, t.chi - d)[0]
             assert count_monochromatic_edges(g, col) == count
             assert len(set(col)) <= t.chi - d
-            dp = _DeficiencyDP(t, d)
+            dp = _DeficiencyDP(t)
             assert dp.value(t.root, (), d) == count
             for (index, m, delta), front in dp.frontiers.items():
                 node = t.postorder[index]
