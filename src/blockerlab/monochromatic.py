@@ -209,7 +209,8 @@ def min_mono_edges_deficiency(t: Cotree, d: int) -> tuple[int, Colouring]:
 def _suffix_min(values: Sequence[int]) -> tuple[int, ...]:
     out = list(values)
     for i in range(len(out) - 2, -1, -1):
-        out[i] = min(out[i], out[i + 1])
+        if out[i] > out[i + 1]:
+            out[i] = out[i + 1]
     return tuple(out)
 
 

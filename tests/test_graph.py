@@ -15,6 +15,7 @@ from blockerlab.graph import (
     complete_bipartite_graph,
     components,
     complete_graph,
+    complete_multipartite_graph,
     contains_induced,
     contract_edges,
     cycle_graph,
@@ -269,6 +270,17 @@ def test_complement_and_equality():
     assert g.complement().complement() == g
     assert complete_graph(3).complement() == Graph(3)
     assert complete_bipartite_graph(1, 3).degree(0) == 3
+
+
+def test_complete_multipartite_graph_is_its_definition():
+    # Every size tuple of up to 4 parts with up to 2 vertices each, empty
+    # parts and the empty tuple included; vertices are numbered part by part.
+    for r in range(5):
+        for sizes in itertools.product(range(3), repeat=r):
+            part = [i for i, size in enumerate(sizes) for _ in range(size)]
+            pairs = itertools.combinations(range(len(part)), 2)
+            expect = Graph(len(part), [(u, v) for u, v in pairs if part[u] != part[v]])
+            assert complete_multipartite_graph(sizes) == expect
 
 
 def test_component_search_matches_complement_components():
