@@ -365,7 +365,8 @@ class _DeficiencyDP:
         best, best_choice = INF, None
         caps = [min(b, size_q) for b in tail]
         for suffix in _ascending_tuples(len(tail), size_q, caps):
-            bq = _suffix_min(head + suffix)
+            # Both parts ascend; only the exclusive head can exceed the suffix.
+            bq = _suffix_min(head + suffix) if head else suffix
             vq = yield q, bq, delta
             if vq is INF:
                 continue
