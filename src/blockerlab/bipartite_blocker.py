@@ -12,9 +12,12 @@ The solver has two routes:
    polynomial and refused with :class:`CapacityExceededError` when the number
    of subsets passes the configured budget; alpha of each contracted graph is
    computed by splitting an independent set into contracted and untouched
-   vertices, the untouched part being bipartite.  Graphs with at most
-   ``2d+1`` vertices take this route for every ``k``: they have at most
-   ``d(d+1)`` edges.
+   vertices, the untouched part being bipartite.  The split is decided
+   against the search's target ``alpha - d``: on an edge set that misses it
+   stops at the first independent set above the target, and only a hit is
+   split to the end, so a witness's ``claimed_alpha_after`` is exact.
+   Graphs with at most ``2d+1`` vertices take this route for every ``k``:
+   they have at most ``d(d+1)`` edges.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ def build_contraction_tree(g: Graph, matching: frozenset[Edge], d: int) -> froze
     return frozenset(tree_edges)
 
 
-def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
+def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition,
+                                      target: Optional[int] = None) -> int:
     """alpha of ``g`` with the edges of ``s`` contracted.
 
     Splits every independent set of the contracted graph into merged
@@ -96,6 +100,11 @@ def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
     size less a maximum matching.  The merged vertices and their
     neighbourhoods are read from the masks of :func:`graph._merge`, which
     keep the indices of ``g``.
+
+    With a ``target`` the value is exact when it is at most ``target``;
+    otherwise the split stops at the first set ``U'`` whose independent set
+    is above ``target`` and returns that size, which lies above ``target``
+    and at most the true value.  Without one the value is always exact.
     """
     s = validate_edge_set(g, s)
     validate_bipartition(g, cert)
@@ -118,6 +127,8 @@ def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition) -> int:
             rest = untouched & ~nbrs
             mate, _ = bipartite_matching(g.adj, rest & left, rest & ~left)
             best = max(best, r + rest.bit_count() - len(mate) // 2)
+            if target is not None and best > target:
+                return best
     return best
 
 
@@ -146,11 +157,12 @@ def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutc
             )
         return BlockerOutcome(True, ContractionWitness(tree, after), alpha)
 
-    # The oracle's search, each edge set decided by the split.  ``split``
-    # looks the evaluator up in this module at every call, so a rebinding
-    # of its name (the benchmark's spans) sees the calls.
+    # The oracle's search, each edge set decided by the split against the
+    # search's target.  ``split`` looks the evaluator up in this module at
+    # every call and passes ``target`` positionally, so a rebinding of its
+    # name (the benchmark's spans) sees the calls and their arguments.
     def split(subset, target: int) -> int:
-        return alpha_after_contraction_bipartite(g, subset, cert)
+        return alpha_after_contraction_bipartite(g, subset, cert, target)
 
     return _outcome(layered_search(query, lambda: (alpha, split)))
 

@@ -253,24 +253,33 @@ def min_critical_size(g: Graph, operation: str, parameter: str, d: int) -> Optio
 
 
 def is_contraction_critical(g: Graph, s, parameter: str) -> bool:
+    """Contracting ``s`` lowers the parameter, decided at the target
+    ``value_before - 1``."""
     s = validate_edge_set(g, s)
     before = parameter_value(g, parameter)
-    return parameter_value(contract_edges(g, s)[0], parameter) < before
+    return _evaluator(g, "contract", parameter)(tuple(s), before - 1) < before
 
 
 def is_minimal_critical(g: Graph, s, parameter: str) -> bool:
-    """Critical, and no proper subset is critical."""
+    """Critical, and no proper subset is critical.
+
+    ``s`` and its non-empty proper subsets, ``2^|s| - 1`` sets, are charged
+    to the subset budget before the value before is solved; the empty set
+    contracts nothing, so it is never critical.
+    """
     edges = sorted(validate_edge_set(g, s))
+    check_capacity(2 ** len(edges) - 1, "subsets")
     before = parameter_value(g, parameter)
+    value_after = _evaluator(g, "contract", parameter)
 
     def critical(subset) -> bool:
-        return parameter_value(contract_edges(g, subset)[0], parameter) < before
+        return value_after(subset, before - 1) < before
 
     if not critical(edges):
         return False
     return not any(
         critical(subset)
-        for size in range(len(edges))
+        for size in range(1, len(edges))
         for subset in itertools.combinations(edges, size)
     )
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -106,6 +107,37 @@ def test_alpha_after_matches_exact_on_random_subsets():
         s = rng.sample(edges, rng.randint(0, min(4, len(edges))))
         expected = alpha_exact(contract_edges(g, s)[0]).value
         assert alpha_after_contraction_bipartite(g, s, cert) == expected
+
+
+def _assert_split_meets_its_definition(n_min, n_max):
+    """alpha_after_contraction_bipartite(g, s, cert, target) is alpha after
+    contracting s when that is at most target, and otherwise above target
+    and at most it, for every connected bipartite catalogue graph with
+    n_min <= n <= n_max, every set s of at most three edges and every
+    target from -1 up to alpha."""
+    for g in graph_catalogue("bipartite", n_max):
+        if g.n < n_min:
+            continue
+        cert = recognize_bipartite(g)
+        alpha = alpha_exact(g).value
+        for size in range(min(3, g.edge_count()) + 1):
+            for s in itertools.combinations(g.edges(), size):
+                true = alpha_exact(contract_edges(g, s)[0]).value
+                for target in range(-1, alpha + 1):
+                    got = alpha_after_contraction_bipartite(g, s, cert, target)
+                    if true <= target:
+                        assert got == true, (g.edges(), s, target)
+                    else:
+                        assert target < got <= true, (g.edges(), s, target)
+
+
+def test_split_meets_its_definition():
+    _assert_split_meets_its_definition(1, 7)
+
+
+@pytest.mark.slow
+def test_split_meets_its_definition_at_8_vertices():
+    _assert_split_meets_its_definition(8, 8)
 
 
 def test_solver_spec_examples():

@@ -17,6 +17,7 @@ from blockerlab.oracle import (
     brute_blocker_decision,
     brute_min_mono,
     brute_mss,
+    is_minimal_critical,
 )
 from blockerlab.parameters import (
     ALPHA_OMEGA_VERTEX_CEILING,
@@ -53,6 +54,11 @@ SITES = {
     ),
     "bipartite_enumeration": (
         lambda: solve_bipartite_contraction_blocker(cycle_graph(40), 4, 3),
+        CONFIGURED,
+    ),
+    # 2^6 - 1 sets: the six edges and their non-empty proper subsets.
+    "minimal_critical_subsets": (
+        lambda: is_minimal_critical(cycle_graph(6), cycle_graph(6).edges(), "alpha"),
         CONFIGURED,
     ),
 }
