@@ -257,7 +257,7 @@ def is_contraction_critical(g: Graph, s, parameter: str) -> bool:
     ``value_before - 1``."""
     s = validate_edge_set(g, s)
     before = parameter_value(g, parameter)
-    return _evaluator(g, "contract", parameter)(tuple(s), before - 1) < before
+    return _evaluator(g, "contract", parameter)(s, before - 1) < before
 
 
 def is_minimal_critical(g: Graph, s, parameter: str) -> bool:
