@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -23,7 +24,8 @@ from blockerlab.graph import (
     path_graph,
 )
 from blockerlab.isomorphism import are_isomorphic
-from blockerlab.parameters import chi_exact
+from blockerlab.parameters import chi_exact, cograph_pair
+from blockerlab.recognizers import CotreeCertificate
 
 
 def test_build_k2_is_join_of_leaves():
@@ -199,3 +201,20 @@ def test_witness_on_chains_with_a_defect():
         with pytest.raises(NotACographError) as err:
             build_cotree(g)
         _assert_induced_p4(g, err.value.witness)
+
+
+# sha256 prefixes of every cotree-derived output over the cograph catalogue
+# up to n vertices: the graph, per-node statistics, chi, the proper
+# colouring, both cograph_pair witnesses and the realised graph.
+COTREE_OUTPUTS = {8: "59446f0dad5e20c2", 9: "ada1e7d2717e1c19"}
+
+
+@pytest.mark.parametrize("n_max", [8, pytest.param(9, marks=pytest.mark.slow)])
+def test_cotree_outputs_are_pinned(n_max):
+    h = hashlib.sha256()
+    for g in graph_catalogue("cograph", n_max):
+        t = build_cotree(g)
+        omega, chi = cograph_pair(g, CotreeCertificate(t))
+        h.update(repr((g.adj, t.stats(), t.chi, proper_colouring(t), sorted(omega.witness),
+                       chi.witness, realize_cotree(t).adj)).encode())
+    assert h.hexdigest()[:16] == COTREE_OUTPUTS[n_max]
