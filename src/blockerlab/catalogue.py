@@ -24,7 +24,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .cotree import Cotree, CotreeInner, CotreeLeaf, CotreeNode, realize_cotree
+from .cotree import Cotree, CotreeLeaf, CotreeNode, _chain, realize_cotree
 from .graph import Graph, bits, complete_multipartite_graph
 from .isomorphism import dedup_isomorphic
 from .recognizers import recognize_bipartite
@@ -107,36 +107,25 @@ def _cliques(g: Graph) -> Iterator[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _join_rooted(n: int) -> tuple[tuple, ...]:
+def _rooted(n: int, kind: str) -> tuple[tuple, ...]:
+    """Shapes on n vertices rooted at a ``kind`` node ("join" or "union"),
+    whose children are rooted at the other kind; n = 1 is the leaf."""
     if n == 1:
         return (("leaf",),)
-    out = []
-    for parts in _multisets(n, min_parts=2, kind="union"):
-        out.append(("join", parts))
-    return tuple(out)
+    other = "union" if kind == "join" else "join"
+    return tuple((kind, parts) for parts in _multisets(n, other))
 
 
-@functools.lru_cache(maxsize=None)
-def _union_rooted(n: int) -> tuple[tuple, ...]:
-    if n == 1:
-        return (("leaf",),)
-    out = []
-    for parts in _multisets(n, min_parts=2, kind="join"):
-        out.append(("union", parts))
-    return tuple(out)
-
-
-def _multisets(n: int, min_parts: int, kind: str) -> Iterator[tuple]:
-    """Multisets of >= min_parts child trees of the given kind summing to n."""
-    child_pool = _join_rooted if kind == "join" else _union_rooted
+def _multisets(n: int, kind: str) -> Iterator[tuple]:
+    """Multisets of >= 2 child trees rooted at ``kind`` summing to n."""
 
     def rec(remaining: int, max_size: int, chosen: tuple, count: int) -> Iterator[tuple]:
         if remaining == 0:
-            if count >= min_parts:
+            if count >= 2:
                 yield chosen
             return
         for size in range(min(remaining, max_size), 0, -1):
-            options = child_pool(size)
+            options = _rooted(size, kind)
             # Choose children of this size as a combination with repetition,
             # bounded so the remainder can still be filled.
             for take in range(1, remaining // size + 1):
@@ -160,19 +149,14 @@ def _shape_to_cotree(shape: tuple) -> Cotree:
     def build(s) -> CotreeNode:
         if s[0] == "leaf":
             return CotreeLeaf(next(counter))
-        label = 1 if s[0] == "join" else 0
-        children = [build(c) for c in s[1]]
-        node = children[0]
-        for nxt in children[1:]:
-            node = CotreeInner(label, node, nxt)
-        return node
+        return _chain([build(c) for c in s[1]], 1 if s[0] == "join" else 0)
 
     return Cotree(build(shape))
 
 
 def _cograph_catalogue(n_max: int) -> Iterator[Graph]:
     for n in range(1, n_max + 1):
-        for shape in _join_rooted(n):
+        for shape in _rooted(n, "join"):
             yield realize_cotree(_shape_to_cotree(shape))
 
 

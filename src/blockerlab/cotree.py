@@ -4,9 +4,11 @@ A cotree is a rooted binary tree whose leaves are the vertices of a cograph
 and whose interior nodes are labelled 0 (disjoint union) or 1 (join).  Both
 colouring dynamic programmes run over this structure, so the tree keeps a
 postorder index per node together with subtree sizes and chromatic numbers.
-It keeps no per-node vertex sets (``subtree_vertices`` is gone): a 4000-vertex
-chain's would hold 65 MB.  Callers that need a subtree's vertices gather them
-in one postorder pass.
+It keeps no per-node vertex sets: a 4000-vertex chain's would hold 65 MB.
+:func:`fold` is the one bottom-up pass (a leaf value, and one combine per
+label); the statistics, :func:`realize_cotree`, :func:`proper_colouring` and
+the cograph clique are folds, and a caller that needs a subtree's vertices
+folds their masks.
 
 :func:`build_cotree` costs O(n^2) big-integer mask operations, and nothing in
 this module recurses, so deep trees (threshold chains of thousands of
@@ -15,7 +17,9 @@ vertices) build, print and parse under the default recursion limit.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from itertools import zip_longest
+from operator import add, or_
+from typing import Callable, NamedTuple, Union
 
 from .errors import CertificateError, NotACographError
 from .graph import Graph, bits, components
@@ -83,20 +87,8 @@ class Cotree:
         if sorted(vertices) != list(range(len(vertices))):
             raise ValueError("cotree leaves must carry vertices 0..n-1 exactly once")
         self.n = len(vertices)
-        sizes = [0] * len(self.postorder)
-        chis = [0] * len(self.postorder)
-        for node in self.postorder:
-            if isinstance(node, CotreeLeaf):
-                sizes[node.index] = 1
-                chis[node.index] = 1
-            else:
-                li, ri = node.left.index, node.right.index
-                sizes[node.index] = sizes[li] + sizes[ri]
-                if node.label == 0:
-                    chis[node.index] = max(chis[li], chis[ri])
-                else:
-                    chis[node.index] = chis[li] + chis[ri]
-        self._stats = NodeStats(size=tuple(sizes), chi=tuple(chis))
+        sizes = fold(self, lambda v: 1, add, add)
+        self._stats = NodeStats(size=tuple(sizes), chi=tuple(fold(self, lambda v: 1, max, add)))
 
     @property
     def chi(self) -> int:
@@ -104,6 +96,22 @@ class Cotree:
 
     def stats(self) -> NodeStats:
         return self._stats
+
+
+def fold(t: Cotree, leaf: Callable, union: Callable, join: Callable) -> list:
+    """Evaluate ``t`` bottom-up: ``leaf(vertex)`` at a leaf, and ``union`` or
+    ``join`` of its children's values at an inner node labelled 0 or 1.
+
+    Returns every node's value by postorder index, so the root's comes last.
+    """
+    values: list = []
+    for node in t.postorder:
+        if isinstance(node, CotreeLeaf):
+            values.append(leaf(node.vertex))
+        else:
+            combine = join if node.label else union
+            values.append(combine(values[node.left.index], values[node.right.index]))
+    return values
 
 
 def _chain(nodes: list[CotreeNode], label: int) -> CotreeNode:
@@ -219,17 +227,12 @@ def build_cotree(g: Graph) -> Cotree:
 def realize_cotree(t: Cotree) -> Graph:
     """The cograph denoted by the tree: 0-nodes union, 1-nodes join."""
     edges: list[tuple[int, int]] = []
-    masks: list[int] = [0] * len(t.postorder)
-    for node in t.postorder:
-        if isinstance(node, CotreeLeaf):
-            masks[node.index] = 1 << node.vertex
-        else:
-            lm, rm = masks[node.left.index], masks[node.right.index]
-            if node.label == 1:
-                for u in bits(lm):
-                    for v in bits(rm):
-                        edges.append((u, v))
-            masks[node.index] = lm | rm
+
+    def join(lm: int, rm: int) -> int:
+        edges.extend((u, v) for u in bits(lm) for v in bits(rm))
+        return lm | rm
+
+    fold(t, lambda v: 1 << v, or_, join)
     return Graph(t.n, edges)
 
 
@@ -273,24 +276,14 @@ def parse_cotree_sexpr(text: str) -> Cotree:
 
 def proper_colouring(t: Cotree) -> tuple[int, ...]:
     """A proper colouring of the realised cograph using exactly chi colours."""
-    classes: list[list[tuple[int, ...]]] = [[] for _ in t.postorder]
-    for node in t.postorder:
-        if isinstance(node, CotreeLeaf):
-            classes[node.index] = [(node.vertex,)]
-        else:
-            left = classes[node.left.index]
-            right = classes[node.right.index]
-            if node.label == 1:
-                classes[node.index] = left + right
-            else:
-                merged = []
-                for i in range(max(len(left), len(right))):
-                    a = left[i] if i < len(left) else ()
-                    b = right[i] if i < len(right) else ()
-                    merged.append(a + b)
-                classes[node.index] = merged
+    # A union merges the children's classes rank by rank; a join keeps both.
+    root_classes = fold(
+        t,
+        lambda v: [(v,)],
+        lambda left, right: [a + b for a, b in zip_longest(left, right, fillvalue=())],
+        add,
+    )[-1]
     colouring = [0] * t.n
-    root_classes = classes[t.root.index]
     if len(root_classes) != t.chi:
         raise CertificateError(f"colouring uses {len(root_classes)} colours, chi is {t.chi}")
     for colour, group in enumerate(root_classes, start=1):

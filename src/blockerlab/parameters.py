@@ -16,9 +16,10 @@ colouring on cographs.  :func:`certified_value` picks the route; ``param`` and
 from __future__ import annotations
 
 from functools import cache
+from operator import or_
 from typing import NamedTuple, Optional, Union
 
-from .cotree import CotreeLeaf, proper_colouring
+from .cotree import fold, proper_colouring
 from .errors import CertificateError, GraphFormatError, check_capacity
 from .graph import Edge, Graph, bits, to_mask
 from .recognizers import (
@@ -260,20 +261,11 @@ def cograph_pair(g: Graph, cert: CotreeCertificate) -> tuple[ParameterValue, Par
     """A maximum clique and a minimum colouring of one size, from the cotree.
 
     Cographs are perfect, so a node's chromatic number is also its clique
-    number: the clique takes both children of a join and the child with the
-    larger chromatic number at a union.
+    number: the clique takes both children's cliques at a join and the larger
+    (the left on a tie) at a union.
     """
     t = cert.cotree
-    chi = t.stats().chi
-    clique, stack = 0, [t.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, CotreeLeaf):
-            clique |= 1 << node.vertex
-        elif node.label == 1:
-            stack += (node.left, node.right)
-        else:
-            stack.append(max(node.left, node.right, key=lambda c: chi[c.index]))
+    clique = fold(t, lambda v: 1 << v, lambda a, b: max(a, b, key=int.bit_count), or_)[-1]
     colouring = proper_colouring(t)
     omega = ParameterValue("omega", clique.bit_count(), frozenset(bits(clique)))
     return certify_pair(g, omega, ParameterValue("chi", len(set(colouring)), colouring))
