@@ -69,14 +69,9 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_cotree(args) -> int:
-    from .cotree import cotree_sexpr
-    from .recognizers import NotInClass, recognize_cograph
+    from .cotree import build_cotree, cotree_sexpr
 
-    g = parse_graph(_read(args.graphfile).decode())
-    cert = recognize_cograph(g)
-    if isinstance(cert, NotInClass):
-        raise GraphFormatError(f"graph is not a cograph: induced P4 on {cert.witness}")
-    print(cotree_sexpr(cert.cotree))
+    print(cotree_sexpr(build_cotree(parse_graph(_read(args.graphfile).decode()))))
     return EXIT_YES
 
 
@@ -130,14 +125,11 @@ def _cmd_mono(args) -> int:
         min_mono_edges_fixed_h,
         monochromatic_edge_set,
     )
-    from .recognizers import NotInClass, recognize_cograph
+    from .cotree import build_cotree
     from .report import base_report, edges_payload
 
     g, digest = _load_graph(args.graphfile)
-    cert = recognize_cograph(g)
-    if isinstance(cert, NotInClass):
-        raise GraphFormatError(f"graph is not a cograph: induced P4 on {cert.witness}")
-    t = cert.cotree
+    t = build_cotree(g)
     start = time.perf_counter()
     if args.mode == "fixed-h":
         if args.h is None:

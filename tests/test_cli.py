@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from blockerlab import cli, recognizers
+from blockerlab import cli, cotree
 from blockerlab.catalogue import random_chordal, random_connected_bipartite
 from blockerlab.cli import main
 from blockerlab.cotree import parse_cotree_sexpr, realize_cotree
@@ -454,10 +454,11 @@ def test_light_subcommands_import_no_solver(capsys, tmp_path, p4_file, k4_file):
     report.write_text(out)
     # Each subcommand's argv, and the package modules a run of it must not load.
     runs = [
-        (["cotree", k4_file], SOLVER_MODULES | {"oracle", "parameters", "report"}),
+        (["cotree", k4_file], SOLVER_MODULES | {"oracle", "parameters", "recognizers", "report"}),
         (["catalogue", "--class", "bipartite", "--n", "4"], {"oracle", "parameters", "report"}),
         (["param", "--kind", "alpha", p4_file], SOLVER_MODULES | {"oracle"}),
-        (["mono", "--mode", "deficiency", "-d", "1", k4_file], {"oracle", "parameters"}),
+        (["mono", "--mode", "deficiency", "-d", "1", k4_file],
+         {"oracle", "parameters", "recognizers"}),
         (["oracle", "--op", "contract", "--param", "alpha", "-k", "2", "-d", "1", p4_file],
          SOLVER_MODULES),
         (["verify", str(report), p4_file], SOLVER_MODULES),
@@ -514,7 +515,7 @@ def test_internal_error_is_not_a_no(capsys, monkeypatch, k4_file):
     def crash(g):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(recognizers, "recognize_cograph", crash)
+    monkeypatch.setattr(cotree, "build_cotree", crash)
     assert main(["cotree", k4_file]) == 4
     assert "internal error" in capsys.readouterr().err
 
