@@ -87,9 +87,6 @@ class Graph:
         """Per-vertex neighbour bitmasks."""
         return self._adj
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1)
 

@@ -17,6 +17,7 @@ document, so every output is certified rather than assumed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -285,12 +286,8 @@ def build_mss_gadget(mss: MssInstance) -> tuple[Graph, MssGadgetMap, MssTarget]:
     exact = Fraction(mss.J, 2) - D
     starts = list(accumulate(mss.a, initial=0))
     parts = tuple(tuple(range(starts[j], starts[j + 1])) for j in range(mss.ell))
-    target = MssTarget(exact=exact, budget=_floor(exact))
+    target = MssTarget(exact=exact, budget=math.floor(exact))
     return gadget, MssGadgetMap(parts=parts, instance=mss), target
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def partition_to_colouring(gm: MssGadgetMap, parts: Sequence[Sequence[int]]) -> Colouring:
