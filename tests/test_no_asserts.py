@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import sys
 import typing
 from pathlib import Path
 
@@ -67,3 +68,30 @@ def test_every_function_annotation_resolves(module):
     assert functions or module == "__init__.py"
     for function in functions:
         typing.get_type_hints(function)
+
+
+# The library is stdlib-only: every import is relative or names a module of
+# the standard library.
+def _third_party_imports(tree) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names
+                  if n.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_the_standard_library(module):
+    found = _third_party_imports(_tree(module))
+    assert not found, f"{module} imports outside the standard library: {found}"
+
+
+def test_third_party_imports_are_caught():
+    source = "import os.path\nfrom . import graph\nimport numpy as np\nfrom scipy.sparse import x\n"
+    assert _third_party_imports(ast.parse(source)) == [(3, "numpy"), (4, "scipy.sparse")]
