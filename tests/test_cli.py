@@ -1,6 +1,10 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +19,7 @@ from blockerlab.graph import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     graph_join,
     path_graph,
@@ -525,3 +530,104 @@ def test_bad_file_exit_code(tmp_path):
     bad.write_text("garbage\n")
     assert main(["param", "--kind", "alpha", str(bad)]) == 2
     assert main(["param", "--kind", "alpha", str(tmp_path / "missing.graph")]) == 2
+
+
+# Byte pin of every answering subcommand: each argv is run in-process from a
+# scratch directory holding the named files, and (argv, exit code, stdout,
+# stderr) is hashed with the timing masked.  The pin sees key order, which a digest of
+# re-dumped reports cannot.
+PIN_GRAPHS = {
+    "c6.graph": cycle_graph(6),
+    "p4.graph": path_graph(4),
+    "k4.graph": complete_graph(4),
+    "chordal12.graph": random_chordal(random.Random(4), 12),
+    "empty.graph": Graph(0),
+    "bip10.graph": random_connected_bipartite(random.Random(10), 10, 0.4),
+    "k232.graph": complete_multipartite_graph([2, 3, 2]),
+}
+PIN_INSTANCES = {
+    "sat.txt": "p wp2sat 3 2 2\n1 2\n2 3\n",
+    "mss.txt": "2 1 4\n1 1\n",
+}
+# The classes each param graph is in, for the runs with an explicit --class.
+PIN_CLASSES = {
+    "c6.graph": ("bipartite",),
+    "p4.graph": ("bipartite", "chordal"),
+    "k4.graph": ("chordal", "cograph"),
+    "chordal12.graph": ("chordal",),
+    "empty.graph": ("bipartite", "chordal"),
+}
+PIN_DIGEST = "1668a38725c54fe9"
+
+
+def _pin_argvs():
+    for name, classes in PIN_CLASSES.items():
+        for kind in ("alpha", "omega", "chi", "mu", "tau"):
+            yield ["param", "--kind", kind, name]
+            for klass in classes:
+                yield ["param", "--kind", kind, "--class", klass, name]
+    for name in ("c6.graph", "bip10.graph"):
+        for k, d in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (1, 2)):
+            yield ["blocker", "-k", str(k), "-d", str(d), name]
+    yield ["blocker", "-k", "1", "-d", "1", "k4.graph"]
+    for name in ("c6.graph", "k4.graph", "bip10.graph"):
+        for op in ("contract", "delete-vertices", "delete-edges"):
+            for param in ("alpha", "omega", "chi"):
+                yield ["oracle", "--op", op, "--param", param, "-k", "2", "-d", "1", name]
+    for name in ("k4.graph", "k232.graph"):
+        yield ["mono", "--mode", "fixed-h", "-h", "2", name]
+        yield ["mono", "--mode", "fixed-h", "-h", "3", name]
+        yield ["mono", "--mode", "deficiency", "-d", "1", name]
+        yield ["mono", "--mode", "deficiency", "-d", "2", name]
+        yield ["cotree", name]
+    yield ["mono", "--mode", "fixed-h", "k4.graph"]
+    yield ["mono", "--mode", "deficiency", "-d", "1", "p4.graph"]
+    yield ["reduce", "vc2cb", "c6.graph", "-k", "2", "-o", "gadget.graph"]
+    yield ["reduce", "vc2cb", "c6.graph"]
+    yield ["reduce", "vc2cb", "k4.graph", "-k", "1"]
+    yield ["reduce", "sat2chordal", "sat.txt"]
+    yield ["reduce", "mss2mono", "mss.txt"]
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """(argv, exit code, stdout, stderr) of every pinned argv, each report
+    followed by the run of ``verify`` on it."""
+    where = tmp_path_factory.mktemp("pin")
+    for name, g in PIN_GRAPHS.items():
+        (where / name).write_text(format_graph(g))
+    for name, text in PIN_INSTANCES.items():
+        (where / name).write_text(text)
+    runs = []
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        for i, argv in enumerate(_pin_argvs()):
+            code, out, err = _main_captured(argv)
+            runs.append((argv, code, out, err))
+            if argv[0] in ("param", "blocker", "oracle", "mono") and code in (0, 1):
+                report = f"report{i}.json"
+                Path(report).write_text(out)
+                verify = ["verify", report, argv[-1]]
+                runs.append((verify, *_main_captured(verify)))
+    finally:
+        os.chdir(cwd)
+    return runs
+
+
+def _masked(out):
+    return re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', out)
+
+
+def test_answering_subcommands_are_byte_pinned(pinned_runs):
+    h = hashlib.sha256()
+    for argv, code, out, err in pinned_runs:
+        h.update(json.dumps([argv, code, _masked(out), err]).encode())
+    assert h.hexdigest()[:16] == PIN_DIGEST, h.hexdigest()[:16]
