@@ -631,3 +631,43 @@ def test_answering_subcommands_are_byte_pinned(pinned_runs):
     for argv, code, out, err in pinned_runs:
         h.update(json.dumps([argv, code, _masked(out), err]).encode())
     assert h.hexdigest()[:16] == PIN_DIGEST, h.hexdigest()[:16]
+
+
+SCHEMA = json.loads(
+    (Path(cli.__file__).resolve().parents[2] / "docs" / "report_schema.json").read_text()
+)
+
+
+def _schema_variant(subcommand):
+    for variant in SCHEMA["oneOf"]:
+        declared = variant["properties"]["subcommand"]
+        if subcommand in declared.get("enum", [declared.get("const")]):
+            return variant
+    raise AssertionError(f"the schema has no variant for {subcommand!r}")
+
+
+def test_every_pinned_report_conforms_to_the_schema(pinned_runs):
+    """Each report's keys are declared and its required keys present, each
+    enum or const field holds a declared value, and every declared witness
+    key is written by some run.  Standard library only: no schema engine."""
+    witness_keys = set(SCHEMA["$defs"]["witness"]["properties"])
+    written = set()
+    for argv, code, out, _ in pinned_runs:
+        if argv[0] in ("cotree", "verify") or code not in (0, 1):
+            continue
+        report = json.loads(out)
+        variant = _schema_variant(report["subcommand"])
+        parts = (SCHEMA, variant)
+        declared = {key for part in parts for key in part["properties"]}
+        assert set(report) <= declared, (argv, set(report) - declared)
+        required = {key for part in parts for key in part["required"]}
+        assert required <= set(report), (argv, required - set(report))
+        for part in parts:
+            for key, prop in part["properties"].items():
+                allowed = prop.get("enum", [prop["const"]] if "const" in prop else None)
+                if key in report and allowed is not None:
+                    assert report[key] in allowed, (argv, key, report[key])
+        witness = report.get("witness") or {}
+        assert set(witness) <= witness_keys, (argv, set(witness) - witness_keys)
+        written |= set(witness)
+    assert written == witness_keys, witness_keys - written
