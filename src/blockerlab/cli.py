@@ -31,57 +31,41 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
-def _load_graph(path: str):
-    from .report import digest_bytes
-
-    data = _read(path)
-    return parse_graph(data.decode()), digest_bytes(data)
-
-
 def _emit(obj: dict) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
-def _cmd_param(args) -> int:
-    from .parameters import certified_value
-    from .report import base_report, edges_payload, vertices_payload
+def _answer(args) -> int:
+    """The one report path of ``param``, ``blocker``, ``oracle`` and ``mono``:
+    read, parse and digest the graph, time ``args.handler(args, g)``, and emit
+    the common head plus the fields it returns with its exit code."""
+    from .report import base_report, digest_bytes
 
-    g, digest = _load_graph(args.graphfile)
+    data = Path(args.graphfile).read_bytes()
+    g = parse_graph(data.decode())
     start = time.perf_counter()
-    pv, used = certified_value(g, args.kind, args.klass)
-    report = base_report("param", digest, time.perf_counter() - start)
-    if pv.kind in ("alpha", "omega", "tau"):
-        witness = {"vertices": vertices_payload(pv.witness)}
-    elif pv.kind == "mu":
-        witness = {"edges": edges_payload(pv.witness)}
-    else:
-        witness = {"colouring": list(pv.witness)}
-    report.update(
-        {"kind": pv.kind, "graph_class": used, "value": pv.value, "witness": witness}
-    )
+    code, fields = args.handler(args, g)
+    report = base_report(args.command, digest_bytes(data), time.perf_counter() - start)
+    report.update(fields)
     _emit(report)
-    return EXIT_YES
+    return code
 
 
-def _cmd_cotree(args) -> int:
-    from .cotree import build_cotree, cotree_sexpr
+def _param(args, g):
+    from .parameters import certified_value
+    from .report import witness_payload
 
-    print(cotree_sexpr(build_cotree(parse_graph(_read(args.graphfile).decode()))))
-    return EXIT_YES
+    pv, used = certified_value(g, args.kind, args.klass)
+    witness = witness_payload(pv.kind, pv.witness)
+    return EXIT_YES, {"kind": pv.kind, "graph_class": used, "value": pv.value, "witness": witness}
 
 
-def _cmd_blocker(args) -> int:
+def _blocker(args, g):
     """``blocker`` (the bipartite solver) and ``oracle`` (the exhaustive
     search): one report, plus ``graph_class`` or ``minimal``."""
-    from .report import base_report, edges_payload, vertices_payload
+    from .report import witness_payload
 
-    g, digest = _load_graph(args.graphfile)
-    start = time.perf_counter()
     if args.command == "oracle":
         from .oracle import BlockerQuery, brute_blocker
 
@@ -95,104 +79,83 @@ def _cmd_blocker(args) -> int:
         chosen, after = answer.witness or (None, None)
         before = answer.alpha_before
         extra = {"graph_class": args.klass}
-    report = base_report(args.command, digest, time.perf_counter() - start)
-    witness = None
-    if answer.answer:
-        if args.op == "delete-vertices":
-            witness = {"vertices": vertices_payload(chosen)}
-        else:
-            witness = {"edges": edges_payload(chosen)}
-    report.update(
-        {
-            "operation": args.op,
-            "parameter": args.param,
-            "k": args.k,
-            "d": args.d,
-            "answer": "yes" if answer.answer else "no",
-            "witness": witness,
-            "value_before": before,
-            "value_after": after,
-            **extra,
-        }
-    )
-    _emit(report)
-    return EXIT_YES if answer.answer else EXIT_NO
+    return EXIT_YES if answer.answer else EXIT_NO, {
+        "operation": args.op,
+        "parameter": args.param,
+        "k": args.k,
+        "d": args.d,
+        "answer": "yes" if answer.answer else "no",
+        "witness": witness_payload(args.op, chosen) if answer.answer else None,
+        "value_before": before,
+        "value_after": after,
+        **extra,
+    }
 
 
-def _cmd_mono(args) -> int:
+def _mono(args, g):
+    from .cotree import build_cotree
     from .monochromatic import (
         min_mono_edges_deficiency,
         min_mono_edges_fixed_h,
         monochromatic_edge_set,
     )
-    from .cotree import build_cotree
-    from .report import base_report, edges_payload
+    from .report import edges_payload
 
-    g, digest = _load_graph(args.graphfile)
     t = build_cotree(g)
-    start = time.perf_counter()
     if args.mode == "fixed-h":
         if args.h is None:
             raise GraphFormatError("--mode fixed-h needs -h")
         count, colouring = min_mono_edges_fixed_h(t, args.h)
+        extra = {"h": args.h}
     else:
         if args.d is None:
             raise GraphFormatError("--mode deficiency needs -d")
         count, colouring = min_mono_edges_deficiency(t, args.d)
-    report = base_report("mono", digest, time.perf_counter() - start)
-    report.update(
-        {
-            "mode": args.mode,
-            "min_mono_edges": count,
-            "colouring": list(colouring),
-            "deleted_edges": edges_payload(monochromatic_edge_set(g, colouring)),
-        }
-    )
-    if args.mode == "fixed-h":
-        report["h"] = args.h
-    else:
-        report["d"] = args.d
-        report["chi"] = t.chi
-    _emit(report)
+        extra = {"d": args.d, "chi": t.chi}
+    return EXIT_YES, {
+        "mode": args.mode,
+        "min_mono_edges": count,
+        "colouring": list(colouring),
+        "deleted_edges": edges_payload(monochromatic_edge_set(g, colouring)),
+        **extra,
+    }
+
+
+def _cmd_cotree(args) -> int:
+    from .cotree import build_cotree, cotree_sexpr
+
+    print(cotree_sexpr(build_cotree(parse_graph(Path(args.graphfile).read_bytes().decode()))))
     return EXIT_YES
 
 
 def _cmd_reduce(args) -> int:
     from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
+    from .report import SCHEMA_VERSION
 
-    data = _read(args.instancefile)
-    text = data.decode()
-    out: dict = {"schema_version": 1, "subcommand": "reduce", "construction": args.construction}
+    text = Path(args.instancefile).read_bytes().decode()
     if args.construction == "vc2cb":
         if args.k is None:
             raise GraphFormatError("vc2cb needs -k (the cover budget)")
-        g = parse_graph(text)
-        gadget, gm = build_vc_gadget(g, args.k)
-        out["gadget_map"] = {
-            "universal_vertex": gm.universal_vertex,
-            "base_vertex_count": gm.base_vertex_count,
-        }
-        out["k"] = args.k
+        gadget, gm = build_vc_gadget(parse_graph(text), args.k)
+        extra = {"k": args.k}
     elif args.construction == "sat2chordal":
         sat = parse_sat_instance(text)
         gadget, gm = build_chordal_gadget(sat)
-        out["gadget_map"] = {
-            "var_vertex": list(gm.var_vertex),
-            "var_clique": [list(cl) for cl in gm.var_clique],
-            "clause_vertex": list(gm.clause_vertex),
-        }
-        out["instance"] = {
-            "variables": sat.variable_count,
-            "clauses": [list(c) for c in sat.clauses],
-            "k": sat.k,
-        }
+        extra = {"instance": {"variables": sat.variable_count, "clauses": sat.clauses, "k": sat.k}}
     else:  # mss2mono
         mss = parse_mss_instance(text)
         gadget, gm, target = build_mss_gadget(mss)
-        out["gadget_map"] = {"parts": [list(p) for p in gm.parts]}
-        out["instance"] = {"ell": mss.ell, "a": list(mss.a), "h": mss.h, "J": mss.J}
-        out["target"] = {"exact": str(target.exact), "budget": target.budget}
-    out["graph"] = format_graph(gadget, comment=f"{args.construction} gadget")
+        target = {"exact": str(target.exact), "budget": target.budget}
+        extra = {"instance": mss._asdict(), "target": target}
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": "reduce",
+        "construction": args.construction,
+        # The source instance is written once, under "instance".
+        "gadget_map": {key: value for key, value in gm._asdict().items() if key != "instance"},
+        **extra,
+        "graph": format_graph(gadget, comment=f"{args.construction} gadget"),
+    }
     if args.output:
         Path(args.output).write_text(out["graph"])
         out["graph_file"] = args.output
@@ -203,26 +166,24 @@ def _cmd_reduce(args) -> int:
 def _cmd_catalogue(args) -> int:
     from .catalogue import graph_catalogue
 
-    graphs = list(graph_catalogue(args.klass, args.n))
+    graphs = graph_catalogue(args.klass, args.n)
+    texts = [format_graph(g, comment=f"{args.klass} #{i} n={g.n}") for i, g in enumerate(graphs)]
     if args.outdir:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, g in enumerate(graphs):
-            name = outdir / f"{args.klass}_{i:04d}.graph"
-            name.write_text(format_graph(g, comment=f"{args.klass} #{i} n={g.n}"))
-        print(f"wrote {len(graphs)} graphs to {outdir}")
+        for i, text in enumerate(texts):
+            (outdir / f"{args.klass}_{i:04d}.graph").write_text(text)
+        print(f"wrote {len(texts)} graphs to {outdir}")
     else:
-        for i, g in enumerate(graphs):
-            sys.stdout.write(format_graph(g, comment=f"{args.klass} #{i} n={g.n}"))
-            sys.stdout.write("\n")
+        sys.stdout.write("".join(text + "\n" for text in texts))
     return EXIT_YES
 
 
 def _cmd_verify(args) -> int:
     from .report import load_report, verify_report
 
-    report = load_report(_read(args.reportfile).decode())
-    data = _read(args.graphfile)
+    report = load_report(Path(args.reportfile).read_bytes().decode())
+    data = Path(args.graphfile).read_bytes()
     g = parse_graph(data.decode())
     ok, detail = verify_report(report, g, data)
     _emit({"valid": ok, "detail": detail})
@@ -242,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", default="auto",
                    choices=["auto", "bipartite", "chordal", "cograph"])
     p.add_argument("graphfile")
-    p.set_defaults(fn=_cmd_param)
+    p.set_defaults(fn=_answer, handler=_param)
 
     p = sub.add_parser("cotree", help="print a cotree as an s-expression")
     p.add_argument("graphfile")
@@ -255,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("graphfile")
-    p.set_defaults(fn=_cmd_blocker)
+    p.set_defaults(fn=_answer, handler=_blocker)
 
     p = sub.add_parser(
         "mono",
@@ -267,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-h", type=int, default=None, help="number of colours (fixed-h mode)")
     p.add_argument("-d", type=int, default=None, help="colour deficiency (deficiency mode)")
     p.add_argument("graphfile")
-    p.set_defaults(fn=_cmd_mono)
+    p.set_defaults(fn=_answer, handler=_mono)
 
     p = sub.add_parser("oracle", help="brute-force blocker ground truth")
     p.add_argument("--op", required=True, choices=["contract", "delete-vertices", "delete-edges"])
@@ -275,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("graphfile")
-    p.set_defaults(fn=_cmd_blocker)
+    p.set_defaults(fn=_answer, handler=_blocker)
 
     p = sub.add_parser("reduce", help="build a hardness gadget from an instance")
     p.add_argument("construction", choices=["vc2cb", "sat2chordal", "mss2mono"])

@@ -45,6 +45,26 @@ def vertices_payload(vertices) -> list[int]:
     return sorted(vertices)
 
 
+# The witness key of each parameter kind (``param``) and each operation
+# (``blocker``, ``oracle``), and how a witness is written under each key and
+# read back.  The writers and the verifiers both go through these tables.
+WITNESS_KEYS = {
+    **dict.fromkeys(("alpha", "omega", "tau", "delete-vertices"), "vertices"),
+    **dict.fromkeys(("mu", "contract", "delete-edges"), "edges"),
+    "chi": "colouring",
+}
+_PAYLOADS = {
+    "vertices": (vertices_payload, frozenset),
+    "edges": (edges_payload, lambda raw: frozenset(map(tuple, raw))),
+    "colouring": (list, tuple),
+}
+
+
+def witness_payload(kind_or_operation: str, witness) -> dict:
+    key = WITNESS_KEYS[kind_or_operation]
+    return {key: _PAYLOADS[key][0](witness)}
+
+
 def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -> tuple[bool, str]:
     """Recompute a report's claim from its witness.  Returns (ok, detail)."""
     if not isinstance(report, dict):
@@ -103,7 +123,7 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
     size = len(witness.get("edges", [])) + len(witness.get("vertices", []))
     if size > report["k"]:
         return False, f"witness has {size} elements, budget k={report['k']}"
-    chosen = witness["vertices"] if operation == "delete-vertices" else witness["edges"]
+    chosen = witness[WITNESS_KEYS[operation]]
     after = certified_value(apply_operation(g, operation, chosen), parameter)[0].value
     if report.get("value_after") is not None and report["value_after"] != after:
         return False, f"reported after-value {report['value_after']}, recomputed {after}"
@@ -120,16 +140,10 @@ def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
         return False, complaint
     kind = report["kind"]
     value = report["value"]
-    witness = report["witness"]
-    if kind in ("alpha", "omega", "tau"):
-        wit = frozenset(witness["vertices"])
-    elif kind == "mu":
-        wit = frozenset(tuple(e) for e in witness["edges"])
-    elif kind == "chi":
-        wit = tuple(witness["colouring"])
-    else:
+    key = WITNESS_KEYS.get(kind)
+    if key is None:
         return False, f"unknown parameter kind {kind!r}"
-    pv = ParameterValue(kind, value, wit)
+    pv = ParameterValue(kind, value, _PAYLOADS[key][1](report["witness"][key]))
     if not validate_witness(g, pv):
         return False, "witness does not certify the reported value"
     exact, route = certified_value(g, kind)
