@@ -47,9 +47,7 @@ INF = math.inf
 
 def count_monochromatic_edges(g: Graph, c: Sequence[int]) -> int:
     """Number of edges whose endpoints share a colour; ``c`` must be total."""
-    if len(c) != g.n:
-        raise ValueError(f"colouring covers {len(c)} of {g.n} vertices")
-    return sum(1 for u, v in g.edges() if c[u] == c[v])
+    return len(monochromatic_edge_set(g, c))
 
 
 def monochromatic_edge_set(g: Graph, c: Sequence[int]) -> frozenset[Edge]:

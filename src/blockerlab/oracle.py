@@ -83,13 +83,9 @@ class OracleAnswer(NamedTuple):
     value_after: Optional[int]
 
 
-# Solver names, looked up in this module's namespace on each call so that a
-# rebinding of the solvers (the benchmark's spans) is seen.
-_SOLVERS = {"alpha": "alpha_exact", "omega": "omega_exact", "chi": "chi_exact"}
-
-
 def parameter_value(g: Graph, parameter: str) -> int:
-    return globals()[_SOLVERS[parameter]](g).value
+    # Built per call, so a solver that a tracer rebinds in this module is seen.
+    return {"alpha": alpha_exact, "omega": omega_exact, "chi": chi_exact}[parameter](g).value
 
 
 def apply_operation(g: Graph, operation: str, chosen: Iterable) -> Graph:

@@ -203,31 +203,29 @@ def _gadget_alpha(g: Graph) -> int:
     return alpha_chordal(g, cert).value
 
 
+def _checked_assignment(gm: ChordalGadgetMap, positives) -> list[int]:
+    """The true variables, sorted, once they satisfy the instance within k."""
+    positives = sorted(set(positives))
+    if len(positives) > gm.instance.k:
+        raise GadgetPreconditionError("assignment sets too many variables true")
+    if not gm.instance.satisfied_by(positives):
+        raise GadgetPreconditionError("assignment does not satisfy every clause")
+    return positives
+
+
 def assignment_to_contraction_set(
     gm: ChordalGadgetMap, g: Graph, positives
 ) -> frozenset[Edge]:
     """One pendant edge per true variable; contracting them drops alpha."""
-    positives = sorted(set(positives))
-    sat = gm.instance
-    if len(positives) > sat.k:
-        raise GadgetPreconditionError("assignment sets too many variables true")
-    if not sat.satisfied_by(positives):
-        raise GadgetPreconditionError("assignment does not satisfy every clause")
     return frozenset(
         (min(gm.var_vertex[x], gm.var_clique[x][0]), max(gm.var_vertex[x], gm.var_clique[x][0]))
-        for x in positives
+        for x in _checked_assignment(gm, positives)
     )
 
 
 def assignment_to_deletion_set(gm: ChordalGadgetMap, g: Graph, positives) -> frozenset[int]:
     """Delete the variable vertex of every true variable."""
-    positives = sorted(set(positives))
-    sat = gm.instance
-    if len(positives) > sat.k:
-        raise GadgetPreconditionError("assignment sets too many variables true")
-    if not sat.satisfied_by(positives):
-        raise GadgetPreconditionError("assignment does not satisfy every clause")
-    return frozenset(gm.var_vertex[x] for x in positives)
+    return frozenset(gm.var_vertex[x] for x in _checked_assignment(gm, positives))
 
 
 def contraction_set_to_assignment(gm: ChordalGadgetMap, g: Graph, s) -> frozenset[int]:
