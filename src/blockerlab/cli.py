@@ -5,6 +5,9 @@ valid and 1 for no / invalid; every subcommand exits 2 on bad input, 3
 when an exhaustive routine refuses for capacity reasons and 4 on an internal
 error, so a crash never reads as a "no".  Reports follow
 ``docs/report_schema.json`` and re-validate with the ``verify`` subcommand.
+``param``, ``blocker``, ``oracle`` and ``mono`` report through one path,
+:func:`_answer`; its ``wall_time_s`` times the whole handler (``mono``'s
+cotree included), and ``report.WITNESS_KEYS`` names every witness key.
 
 Each process runs one subcommand and most of its time is start-up, so this
 module loads only ``errors`` and ``graphio`` from the package.  Each handler
@@ -37,9 +40,8 @@ def _emit(obj: dict) -> None:
 
 
 def _answer(args) -> int:
-    """The one report path of ``param``, ``blocker``, ``oracle`` and ``mono``:
-    read, parse and digest the graph, time ``args.handler(args, g)``, and emit
-    the common head plus the fields it returns with its exit code."""
+    """Read, parse and digest the graph, time ``args.handler(args, g)``, and
+    emit the common head plus the fields it returns with its exit code."""
     from .report import base_report, digest_bytes
 
     data = Path(args.graphfile).read_bytes()
