@@ -508,3 +508,22 @@ def test_property_one_restriction_is_lossless_small():
                 if (best_p1 is None or cnt < best_p1) and has_property_one(t, col):
                     best_p1 = cnt
             assert best_all == best_p1
+
+
+def test_deficiency_outputs_are_pinned():
+    # Count and colouring of every deficiency query over the cograph
+    # catalogue up to 8 vertices and 100 seeded random cographs of 16 to 30
+    # vertices, for 1 <= d <= min(3, chi - 1).  Unlike the memo pin above,
+    # this one holds for any change to how states are stored: only the
+    # answers are hashed.
+    digest = hashlib.sha256()
+    queries = 0
+    rng = random.Random(2407)
+    trees = [build_cotree(g) for g in graph_catalogue("cograph", 8)]
+    trees += [_random_cotree(rng, rng.randint(16, 30), 0.5) for _ in range(100)]
+    for t in trees:
+        for d in range(1, min(3, t.chi - 1) + 1):
+            digest.update(repr((d,) + min_mono_edges_deficiency(t, d)).encode())
+            queries += 1
+    assert queries == 1380
+    assert digest.hexdigest()[:16] == "d6c2a4a9f7607635"
