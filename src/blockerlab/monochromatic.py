@@ -254,6 +254,15 @@ class _DeficiencyDP:
     Bounds beyond the number of slots are vacuous; an unsatisfiable state has
     value infinity.
 
+    Every state has one canonical key: ``bounds[i]`` is capped at
+    ``size // (slots - i)`` (:meth:`_caps`).  The node's ``size`` vertices
+    fill ``slots`` slots, and the i-th smallest slot is no larger than the
+    ``slots - i`` slots from it upward, so it never holds more than the cap.
+    A bound above its cap therefore admits exactly the colourings the cap
+    admits, and states that differ only there share one memo and one choice
+    entry.  The memo (:meth:`_open_state`) and the reconstruction
+    (:meth:`_classes`) both form their keys through :meth:`_canonical`.
+
     A join node takes child bounds from the child's frontier: the finite
     ``(bounds, value)`` pairs of one (child, length, delta) that no pointwise
     smaller tuple matches in value (:meth:`_frontier`).  The cross cost
@@ -277,12 +286,33 @@ class _DeficiencyDP:
         self.memo: dict = {}
         self.choice: dict = {}
         self.frontiers: dict = {}
+        self.caps: dict = {}
 
     def value(self, node, bounds: tuple[int, ...], delta: int):
         frame, known = self._open_state(node, bounds, delta)
         return known if frame is None else _run(frame, self._open_state)
 
+    def _caps(self, node, m: int, delta: int) -> tuple[int, ...]:
+        """``size // (slots - i)`` for the ``m`` smallest slots ``i``;
+        bounds past the last slot are vacuous, and capping drops them."""
+        size, slots = self.size[node.index], self.chi[node.index] - delta
+        return tuple(size // (slots - i) for i in range(min(m, slots)))
+
+    def _canonical(self, node, bounds, delta):
+        """``bounds`` capped pointwise: the one key of the state.
+
+        Caps are kept per length, so a deep cotree with many slots stores
+        no more of them than its bounds use.
+        """
+        key = (node.index, len(bounds), delta)
+        caps = self.caps.get(key)
+        if caps is None:
+            caps = self.caps[key] = self._caps(node, len(bounds), delta)
+        return tuple(map(min, bounds, caps))
+
     def _open_state(self, node, bounds, delta):
+        if bounds:
+            bounds = self._canonical(node, bounds, delta)
         key = (node.index, bounds, delta)
         if key in self.memo:
             return None, self.memo[key]
@@ -322,6 +352,13 @@ class _DeficiencyDP:
         pointwise below, and the value never falls along them (a larger
         bound admits every choice a smaller one does, at no higher cost), so
         what is left is exactly the Pareto frontier.
+
+        Only tuples within the node's caps are enumerated, which leaves the
+        frontier unchanged.  In a tuple with an entry above its cap, lower
+        the first such entry by one: the entry before it is within its own
+        cap, which is no larger, so the tuple still ascends, and both tuples
+        cap to the same key, so they have the same value.  The rule above
+        already drops such a tuple.
         """
         key = (node.index, m, delta)
         front = self.frontiers.get(key)
@@ -330,7 +367,7 @@ class _DeficiencyDP:
         values: dict[tuple[int, ...], float] = {}
         front = []
         # Lexicographic order: every tuple comes after those one step below.
-        for b in _ascending_tuples(m, self.size[node.index]):
+        for b in _ascending_tuples(m, self.size[node.index], self._caps(node, m, delta)):
             v = values[b] = yield node, b, delta
             if v is INF:
                 continue
@@ -424,6 +461,7 @@ class _DeficiencyDP:
         return self._classes(node, bounds, delta), None
 
     def _classes(self, node, bounds, delta):
+        bounds = self._canonical(node, bounds, delta)
         choice = self.choice[(node.index, bounds, delta)]
         if choice[0] == "leaf":
             return [(node.vertex,)]

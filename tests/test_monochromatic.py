@@ -198,11 +198,32 @@ def test_deficiency_deep_cotree_does_not_recurse(monkeypatch):
     assert count == 1
     assert count_monochromatic_edges(realize_cotree(t), col) == 1
     assert len(set(col)) <= t.chi - 1
-    # The full 1100-vertex chain needs about 600,000 states; a small budget
-    # refuses it with a structured error instead of a RecursionError.
+    # The full 1100-vertex chain needs about 6,000 states: it answers within
+    # a budget of 20,000, and a budget below its need refuses it with a
+    # structured error instead of a RecursionError.
     monkeypatch.setenv(BUDGET_ENV_VAR, "20000")
+    assert min_mono_edges_deficiency(_threshold_chain(1100), 1)[0] == 1
+    monkeypatch.setenv(BUDGET_ENV_VAR, "2000")
     with pytest.raises(CapacityExceededError):
         min_mono_edges_deficiency(_threshold_chain(1100), 1)
+
+
+def test_deficiency_scales_within_a_small_budget(monkeypatch):
+    # Canonical bounds keep the memo of large cographs small: with d = 3 the
+    # 150-vertex threshold chain and an 80-vertex random cograph each needed
+    # more than 20,000 states while a bound above its cap made a state of
+    # its own, and now answer within that budget.
+    from blockerlab.cotree import realize_cotree
+
+    monkeypatch.setenv(BUDGET_ENV_VAR, "20000")
+    chain = _threshold_chain(150)
+    tree = _random_cotree(random.Random(1), 80, 0.5)
+    for t in (chain, tree):
+        count, col = min_mono_edges_deficiency(t, 3)
+        assert count_monochromatic_edges(realize_cotree(t), col) == count
+        assert len(set(col)) <= t.chi - 3
+        if t is chain:
+            assert count == 3
 
 
 def test_deficiency_memo_respects_budget(monkeypatch):
@@ -476,8 +497,8 @@ def test_deficiency_memo_is_pinned(monkeypatch):
                 rows.append((key, value, tuple(_node_index(x) for x in choice)))
             states += len(rows)
             digest.update(repr(rows).encode())
-    assert states == 83365
-    assert digest.hexdigest()[:16] == "3e5965b5efe20c10"
+    assert states == 64867
+    assert digest.hexdigest()[:16] == "5151682242e975f5"
 
 
 def test_deficiency_reconstruction_is_rank_aligned():
