@@ -132,7 +132,7 @@ def _cmd_cotree(args) -> int:
 
 def _cmd_reduce(args) -> int:
     from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
-    from .report import SCHEMA_VERSION
+    from .report import SCHEMA_VERSION, gadget_map_payload, target_payload
 
     text = Path(args.instancefile).read_bytes().decode()
     if args.construction == "vc2cb":
@@ -147,14 +147,12 @@ def _cmd_reduce(args) -> int:
     else:  # mss2mono
         mss = parse_mss_instance(text)
         gadget, gm, target = build_mss_gadget(mss)
-        target = {"exact": str(target.exact), "budget": target.budget}
-        extra = {"instance": mss._asdict(), "target": target}
+        extra = {"instance": mss._asdict(), "target": target_payload(target)}
     out = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "reduce",
         "construction": args.construction,
-        # The source instance is written once, under "instance".
-        "gadget_map": {key: value for key, value in gm._asdict().items() if key != "instance"},
+        "gadget_map": gadget_map_payload(gm),
         **extra,
         "graph": format_graph(gadget, comment=f"{args.construction} gadget"),
     }

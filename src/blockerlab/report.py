@@ -8,8 +8,9 @@ bipartite, chordal or cograph input that value is proved by two validated
 witnesses of one size, at any size; elsewhere it comes from an exact solver,
 which refuses (exit 3) above its size ceiling.  A blocker witness is
 re-applied with the graph operations, so a verified yes answer does not
-depend on the solver that produced it.  Each verifier imports the solvers
-itself, so a process that only writes a report loads none of them.
+depend on the solver that produced it.  A ``reduce`` report is checked by
+rebuilding its gadget from the source it records.  Each verifier imports the
+solvers itself, so a process that only writes a report loads none of them.
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ def witness_payload(kind_or_operation: str, witness) -> dict:
     return {key: _PAYLOADS[key][0](witness)}
 
 
+def gadget_map_payload(gm) -> dict:
+    """A reduce report's gadget map, without the source instance: the report
+    writes that once, under ``instance``."""
+    return {key: value for key, value in gm._asdict().items() if key != "instance"}
+
+
+def target_payload(target) -> dict:
+    return {"exact": str(target.exact), "budget": target.budget}
+
+
 def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -> tuple[bool, str]:
     """Recompute a report's claim from its witness.  Returns (ok, detail)."""
     if not isinstance(report, dict):
@@ -81,6 +92,8 @@ def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -
             return _verify_param(report, g)
         if sub == "mono":
             return _verify_mono(report, g)
+        if sub == "reduce":
+            return _verify_reduce(report, g)
     except CapacityExceededError:
         raise  # "could not check" is a refusal, not "invalid"
     except Exception as exc:  # verification must never crash on bad reports
@@ -186,6 +199,72 @@ def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
     if deleted != mono:
         return False, "deleted_edges do not match the monochromatic edges"
     return True, f"colouring certified with {len(mono)} monochromatic edges"
+
+
+def _verify_reduce(report: dict, g: Graph) -> tuple[bool, str]:
+    """Rebuild the gadget from its source and compare it with the report.
+
+    The source is the report's ``instance`` (sat2chordal, mss2mono), or for
+    vc2cb the graph file less the universal vertex, with ``k``.
+    """
+    from .graph import delete_vertices
+    from .graphio import MssInstance, SatInstance, parse_graph
+    from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
+
+    difference = _graph_difference(parse_graph(report["graph"]), g, "the report's graph")
+    if difference:
+        return False, difference
+    construction = report["construction"]
+    inst = report.get("instance")
+    if construction == "vc2cb":
+        complaint = _integer_complaint(report, ("k", 0))
+        if complaint:
+            return False, complaint
+        base, _ = delete_vertices(g, [report["gadget_map"]["universal_vertex"]])
+        gadget, gm = build_vc_gadget(base, report["k"])
+    elif construction == "sat2chordal":
+        sat = SatInstance.make(inst["variables"], inst["clauses"], inst["k"])
+        gadget, gm = build_chordal_gadget(sat)
+    elif construction == "mss2mono":
+        mss = MssInstance(inst["ell"], tuple(inst["a"]), inst["h"], inst["J"])
+        gadget, gm, target = build_mss_gadget(mss)
+    else:
+        return False, f"unknown construction {construction!r}"
+    difference = _graph_difference(gadget, g, f"the {construction} gadget rebuilt from its source")
+    if difference:
+        return False, difference
+    rebuilt = {"gadget_map": gadget_map_payload(gm)}
+    if construction == "mss2mono":
+        rebuilt["target"] = target_payload(target)
+    field = _first_difference(rebuilt, {key: report.get(key) for key in rebuilt})
+    if field:
+        return False, f"{field} differs from the rebuilt {construction} gadget"
+    return True, f"the {construction} gadget rebuilt from its source matches the report"
+
+
+def _graph_difference(claimed: Graph, g: Graph, name: str) -> Optional[str]:
+    """Name the first difference between ``claimed`` and the graph file."""
+    if claimed.n != g.n:
+        return f"{name} has {claimed.n} vertices, the graph file {g.n}"
+    edges = set(claimed.edges())
+    only = edges ^ set(g.edges())
+    if not only:
+        return None
+    edge = min(only)
+    where = name if edge in edges else "the graph file"
+    return f"{name} differs from the graph file: edge {edge} is only in {where}"
+
+
+def _first_difference(want, got, path: str = "") -> Optional[str]:
+    """The dotted path of the first field where two JSON values differ."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            found = _first_difference(want.get(key), got.get(key), f"{path}.{key}" if path else key)
+            if found:
+                return found
+        return None
+    # As JSON text, so that a tuple matches its list and true never matches 1.
+    return None if json.dumps(want) == json.dumps(got) else path
 
 
 def load_report(text: str) -> dict:

@@ -21,10 +21,11 @@ from blockerlab.graph import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    delete_edges,
     graph_join,
     path_graph,
 )
-from blockerlab.graphio import format_graph
+from blockerlab.graphio import format_graph, parse_graph
 
 
 @pytest.fixture
@@ -400,6 +401,61 @@ def test_reduce_vc2cb_and_mss(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0
     assert payload["target"] == {"exact": "1", "budget": 1}
+
+
+REDUCE_SOURCES = {
+    "vc2cb": (format_graph(cycle_graph(6)), ["-k", "2"]),
+    "sat2chordal": ("p wp2sat 3 2 1\n1 2\n2 3\n", []),
+    "mss2mono": ("3 2 20\n1 2 3\n", []),
+}
+
+
+def _reduce_report(capsys, tmp_path, construction):
+    text, extra = REDUCE_SOURCES[construction]
+    source = tmp_path / f"{construction}.src"
+    source.write_text(text)
+    gadget = tmp_path / f"{construction}.graph"
+    code, out = _run(capsys, "reduce", construction, str(source), *extra, "-o", str(gadget))
+    assert code == 0
+    return json.loads(out), gadget
+
+
+@pytest.mark.parametrize("construction", sorted(REDUCE_SOURCES))
+def test_verify_reduce_round_trip(capsys, tmp_path, construction):
+    report, gadget = _reduce_report(capsys, tmp_path, construction)
+    report_file = tmp_path / "reduce.json"
+    report_file.write_text(json.dumps(report))
+    code, out = _run(capsys, "verify", str(report_file), str(gadget))
+    assert code == 0 and json.loads(out)["valid"], out
+
+
+@pytest.mark.parametrize("construction", sorted(REDUCE_SOURCES))
+def test_verify_reduce_rejects_a_removed_gadget_edge(capsys, tmp_path, construction):
+    # The edge goes from the report and from the graph file alike, so the two
+    # agree and only the gadget rebuilt from the source can tell.
+    report, gadget = _reduce_report(capsys, tmp_path, construction)
+    g = parse_graph(report["graph"])
+    u, v = g.edges()[-1]
+    report["graph"] = format_graph(delete_edges(g, [(u, v)]))
+    gadget.write_text(report["graph"])
+    report_file = tmp_path / "reduce.json"
+    report_file.write_text(json.dumps(report))
+    code, out = _run(capsys, "verify", str(report_file), str(gadget))
+    verdict = json.loads(out)
+    assert code == 1 and not verdict["valid"]
+    assert f"edge {(u, v)} is only in the {construction} gadget" in verdict["detail"]
+
+
+def test_verify_reduce_names_a_changed_gadget_map(capsys, tmp_path):
+    report, gadget = _reduce_report(capsys, tmp_path, "sat2chordal")
+    report["gadget_map"]["clause_vertex"].reverse()
+    report_file = tmp_path / "reduce.json"
+    report_file.write_text(json.dumps(report))
+    code, out = _run(capsys, "verify", str(report_file), str(gadget))
+    assert code == 1
+    assert json.loads(out)["detail"] == (
+        "gadget_map.clause_vertex differs from the rebuilt sat2chordal gadget"
+    )
 
 
 def test_reduce_rejects_triangle_input(capsys, tmp_path):
