@@ -15,7 +15,12 @@ Two independent dynamic programmes over the cotree:
   smallest class indices whose value counts the cross monochromatic edges.
   Join nodes draw child bounds only from the child's Pareto frontier: the
   finite (bounds, value) pairs that no pointwise smaller bounds tuple matches
-  in value, built once per child, tuple length and deficiency.
+  in value, built once per child, tuple length and deficiency.  Bounds are
+  canonical: each is capped at the most its colour class can hold, so
+  states that admit the same colourings share one memo entry.  A memo state
+  costs about 450 to 550 bytes with its share of choices and frontiers; with
+  d = 3 a 150-vertex threshold chain needs 3,198 states (0.1 s), and with
+  d = 1 an 1100-vertex chain about 6,000.
 
 Both reconstruct an optimal colouring from stored argmin choices, and they
 are cross-checked against each other and against the brute-force oracle in
