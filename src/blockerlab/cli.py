@@ -5,9 +5,11 @@ valid and 1 for no / invalid; every subcommand exits 2 on bad input, 3
 when an exhaustive routine refuses for capacity reasons and 4 on an internal
 error, so a crash never reads as a "no".  Reports follow
 ``docs/report_schema.json`` and re-validate with the ``verify`` subcommand.
-``param``, ``blocker``, ``oracle`` and ``mono`` report through one path,
-:func:`_answer`; its ``wall_time_s`` times the whole handler (``mono``'s
-cotree included), and ``report.WITNESS_KEYS`` names every witness key.
+``param``, ``blocker``, ``oracle``, ``mono`` and ``reduce`` report through
+one path, :func:`_answer`; its ``wall_time_s`` times the whole handler
+(``mono``'s cotree included), and ``report.WITNESS_KEYS`` names every witness
+key.  ``INPUT_PARSERS`` reads the input file of a ``reduce`` construction, for
+the report and for ``verify`` alike; every other input file is a graph.
 
 Each process runs one subcommand and most of its time is start-up, so this
 module loads only ``errors`` and ``graphio`` from the package.  Each handler
@@ -25,7 +27,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BlockerlabError, CapacityExceededError, GraphFormatError
-from .graphio import format_graph, parse_graph, parse_mss_instance, parse_sat_instance
+from . import graphio
+from .graphio import format_graph, parse_graph
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -39,15 +42,30 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
+# The graphio parser of each reduce construction's input file; any other
+# input is a graph.  Looked up by name at each call, so that a rebinding of
+# the parsers (the benchmark's tracer) sees every call.
+INPUT_PARSERS = {"vc2cb": "parse_graph", "sat2chordal": "parse_sat_instance",
+                 "mss2mono": "parse_mss_instance"}
+
+
+def _read_input(path: str, construction=None):
+    """The bytes of an input file and what they parse to: the instance of a
+    reduce construction, else a graph."""
+    data = Path(path).read_bytes()
+    # A report's construction may be any JSON value, hashable or not.
+    name = INPUT_PARSERS.get(construction) if isinstance(construction, str) else None
+    return data, getattr(graphio, name or "parse_graph")(data.decode())
+
+
 def _answer(args) -> int:
-    """Read, parse and digest the graph, time ``args.handler(args, g)``, and
-    emit the common head plus the fields it returns with its exit code."""
+    """Read, parse and digest the input, time ``args.handler(args, source)``,
+    and emit the common head plus the fields it returns with its exit code."""
     from .report import base_report, digest_bytes
 
-    data = Path(args.graphfile).read_bytes()
-    g = parse_graph(data.decode())
+    data, source = _read_input(args.inputfile, getattr(args, "construction", None))
     start = time.perf_counter()
-    code, fields = args.handler(args, g)
+    code, fields = args.handler(args, source)
     report = base_report(args.command, digest_bytes(data), time.perf_counter() - start)
     report.update(fields)
     _emit(report)
@@ -130,37 +148,16 @@ def _cmd_cotree(args) -> int:
     return EXIT_YES
 
 
-def _cmd_reduce(args) -> int:
-    from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
-    from .report import SCHEMA_VERSION, gadget_map_payload, target_payload
+def _reduce(args, source):
+    from .reductions import gadget_fields
 
-    text = Path(args.instancefile).read_bytes().decode()
-    if args.construction == "vc2cb":
-        if args.k is None:
-            raise GraphFormatError("vc2cb needs -k (the cover budget)")
-        gadget, gm = build_vc_gadget(parse_graph(text), args.k)
-        extra = {"k": args.k}
-    elif args.construction == "sat2chordal":
-        sat = parse_sat_instance(text)
-        gadget, gm = build_chordal_gadget(sat)
-        extra = {"instance": {"variables": sat.variable_count, "clauses": sat.clauses, "k": sat.k}}
-    else:  # mss2mono
-        mss = parse_mss_instance(text)
-        gadget, gm, target = build_mss_gadget(mss)
-        extra = {"instance": mss._asdict(), "target": target_payload(target)}
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "reduce",
-        "construction": args.construction,
-        "gadget_map": gadget_map_payload(gm),
-        **extra,
-        "graph": format_graph(gadget, comment=f"{args.construction} gadget"),
-    }
+    if args.construction == "vc2cb" and args.k is None:
+        raise GraphFormatError("vc2cb needs -k (the cover budget)")
+    fields = gadget_fields(args.construction, source, args.k)
     if args.output:
-        Path(args.output).write_text(out["graph"])
-        out["graph_file"] = args.output
-    _emit(out)
-    return EXIT_YES
+        Path(args.output).write_text(fields["graph"])
+        fields["graph_file"] = args.output
+    return EXIT_YES, fields
 
 
 def _cmd_catalogue(args) -> int:
@@ -183,9 +180,9 @@ def _cmd_verify(args) -> int:
     from .report import load_report, verify_report
 
     report = load_report(Path(args.reportfile).read_bytes().decode())
-    data = Path(args.graphfile).read_bytes()
-    g = parse_graph(data.decode())
-    ok, detail = verify_report(report, g, data)
+    construction = report.get("construction") if report.get("subcommand") == "reduce" else None
+    data, source = _read_input(args.inputfile, construction)
+    ok, detail = verify_report(report, source, data)
     _emit({"valid": ok, "detail": detail})
     return EXIT_YES if ok else EXIT_NO
 
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["alpha", "omega", "chi", "mu", "tau"])
     p.add_argument("--class", dest="klass", default="auto",
                    choices=["auto", "bipartite", "chordal", "cograph"])
-    p.add_argument("graphfile")
+    p.add_argument("inputfile", metavar="graphfile")
     p.set_defaults(fn=_answer, handler=_param)
 
     p = sub.add_parser("cotree", help="print a cotree as an s-expression")
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", default="bipartite", choices=["bipartite"])
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("graphfile")
+    p.add_argument("inputfile", metavar="graphfile")
     p.set_defaults(fn=_answer, handler=_blocker)
 
     p = sub.add_parser(
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["fixed-h", "deficiency"])
     p.add_argument("-h", type=int, default=None, help="number of colours (fixed-h mode)")
     p.add_argument("-d", type=int, default=None, help="colour deficiency (deficiency mode)")
-    p.add_argument("graphfile")
+    p.add_argument("inputfile", metavar="graphfile")
     p.set_defaults(fn=_answer, handler=_mono)
 
     p = sub.add_parser("oracle", help="brute-force blocker ground truth")
@@ -235,15 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=["alpha", "omega", "chi"])
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("graphfile")
+    p.add_argument("inputfile", metavar="graphfile")
     p.set_defaults(fn=_answer, handler=_blocker)
 
     p = sub.add_parser("reduce", help="build a hardness gadget from an instance")
-    p.add_argument("construction", choices=["vc2cb", "sat2chordal", "mss2mono"])
-    p.add_argument("instancefile")
+    p.add_argument("construction", choices=list(INPUT_PARSERS))
+    p.add_argument("inputfile", metavar="instancefile")
     p.add_argument("-k", type=int, default=None, help="cover budget (vc2cb only)")
     p.add_argument("-o", "--output", default=None, help="also write the gadget graph here")
-    p.set_defaults(fn=_cmd_reduce)
+    p.set_defaults(fn=_answer, handler=_reduce)
 
     p = sub.add_parser("catalogue", help="enumerate small connected graphs of a class")
     p.add_argument("--class", dest="klass", required=True)
@@ -251,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=_cmd_catalogue)
 
-    p = sub.add_parser("verify", help="re-check a report against its graph")
+    p = sub.add_parser("verify", help="re-check a report against its input file")
     p.add_argument("reportfile")
-    p.add_argument("graphfile")
+    p.add_argument("inputfile")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, CriticalityError, GadgetPreconditionError
@@ -36,7 +36,7 @@ from .graph import (
     validate_edge_set,
     validate_vertex_set,
 )
-from .graphio import MssInstance, SatInstance
+from .graphio import MssInstance, SatInstance, format_graph
 from .monochromatic import Colouring, recolour_module
 from .parameters import alpha_chordal, omega_exact
 from .recognizers import (
@@ -123,20 +123,19 @@ def contraction_set_to_vc(gm: VcGadgetMap, g: Graph, s) -> frozenset[int]:
     for components avoiding it.
     """
     s = validate_edge_set(g, s)
-    before = omega_exact(g).value
-    after = omega_exact(contract_edges(g, s)[0]).value
-    if after >= before:
+    contracted, into = contract_edges(g, s)
+    if omega_exact(contracted).value >= omega_exact(g).value:
         raise CriticalityError("the set does not reduce the clique number")
     w = gm.universal_vertex
+    components: dict[int, list[int]] = {}
+    for v, merged in enumerate(into):
+        components.setdefault(merged, []).append(v)
     cover: set[int] = set()
-    restriction = Graph(g.n, s)
-    for comp in restriction.connected_components():
-        if len(comp) == 1:
-            continue
+    for comp in components.values():
         if w in comp:
             cover.update(v for v in comp if v != w)
         else:
-            cover.update(sorted(comp)[:-1])
+            cover.update(comp[:-1])
     if len(cover) > len(s):
         raise CertificateError(f"cover has {len(cover)} vertices, set has {len(s)} edges")
     return frozenset(cover)
@@ -151,35 +150,15 @@ def build_chordal_gadget(sat: SatInstance) -> tuple[Graph, ChordalGadgetMap]:
     re-verified on construction.  Chordal graphs are perfect, so the same
     instances double as a perfect-graph family for the deletion variant.
     """
-    k = sat.k
-    block = 2 * k + 2
-    var_vertex = []
-    var_clique = []
-    edges: list[tuple[int, int]] = []
-    for x in range(sat.variable_count):
-        base = x * block
-        v_x = base
-        clique = tuple(range(base + 1, base + block))
-        var_vertex.append(v_x)
-        var_clique.append(clique)
-        edges.extend((v_x, u) for u in clique)
-        edges.extend(
-            (clique[i], clique[j])
-            for i in range(len(clique))
-            for j in range(i + 1, len(clique))
-        )
+    block = 2 * sat.k + 2
+    var_vertex = tuple(range(0, sat.variable_count * block, block))
+    var_clique = tuple(tuple(range(v + 1, v + block)) for v in var_vertex)
     offset = sat.variable_count * block
-    clause_vertex = tuple(offset + c for c in range(len(sat.clauses)))
-    edges.extend(
-        (clause_vertex[i], clause_vertex[j])
-        for i in range(len(clause_vertex))
-        for j in range(i + 1, len(clause_vertex))
-    )
+    clause_vertex = tuple(range(offset, offset + len(sat.clauses)))
+    edges = [e for v, clique in zip(var_vertex, var_clique) for e in combinations((v, *clique), 2)]
+    edges.extend(combinations(clause_vertex, 2))
     for c, (x, y) in enumerate(sat.clauses):
-        for u in var_clique[x]:
-            edges.append((u, clause_vertex[c]))
-        for u in var_clique[y]:
-            edges.append((u, clause_vertex[c]))
+        edges.extend((u, clause_vertex[c]) for u in var_clique[x] + var_clique[y])
     gadget = Graph(offset + len(sat.clauses), edges)
 
     cert = recognize_chordal(gadget)
@@ -187,13 +166,7 @@ def build_chordal_gadget(sat: SatInstance) -> tuple[Graph, ChordalGadgetMap]:
         raise CertificateError("chordal gadget is not chordal")
     if alpha_chordal(gadget, cert).value != sat.variable_count + 1:
         raise CertificateError("chordal gadget alpha is not the variable count plus one")
-    gm = ChordalGadgetMap(
-        var_vertex=tuple(var_vertex),
-        var_clique=tuple(var_clique),
-        clause_vertex=clause_vertex,
-        instance=sat,
-    )
-    return gadget, gm
+    return gadget, ChordalGadgetMap(var_vertex, var_clique, clause_vertex, instance=sat)
 
 
 def _gadget_alpha(g: Graph) -> int:
@@ -286,6 +259,31 @@ def build_mss_gadget(mss: MssInstance) -> tuple[Graph, MssGadgetMap, MssTarget]:
     parts = tuple(tuple(range(starts[j], starts[j + 1])) for j in range(mss.ell))
     target = MssTarget(exact=exact, budget=math.floor(exact))
     return gadget, MssGadgetMap(parts=parts, instance=mss), target
+
+
+def gadget_fields(construction: str, source, k: int | None = None) -> dict:
+    """The fields of a ``reduce`` report, which its writer and ``verify``
+    both build here: the gadget map less the instance, ``k`` (vc2cb, whose
+    ``source`` is a graph) or the instance, mss2mono's target, the gadget."""
+    if construction == "vc2cb":
+        gadget, gm = build_vc_gadget(source, k)
+        extra = {"k": k}
+    elif construction == "sat2chordal":
+        gadget, gm = build_chordal_gadget(source)
+        extra = {"instance": {"variables": source.variable_count, "clauses": source.clauses,
+                              "k": source.k}}
+    elif construction == "mss2mono":
+        gadget, gm, target = build_mss_gadget(source)
+        extra = {"instance": source._asdict(),
+                 "target": {"exact": str(target.exact), "budget": target.budget}}
+    else:
+        raise GadgetPreconditionError(f"unknown construction {construction!r}")
+    return {
+        "construction": construction,
+        "gadget_map": {key: value for key, value in gm._asdict().items() if key != "instance"},
+        **extra,
+        "graph": format_graph(gadget, comment=f"{construction} gadget"),
+    }
 
 
 def partition_to_colouring(gm: MssGadgetMap, parts: Sequence[Sequence[int]]) -> Colouring:

@@ -9,8 +9,9 @@ witnesses of one size, at any size; elsewhere it comes from an exact solver,
 which refuses (exit 3) above its size ceiling.  A blocker witness is
 re-applied with the graph operations, so a verified yes answer does not
 depend on the solver that produced it.  A ``reduce`` report is checked by
-rebuilding its gadget from the source it records.  Each verifier imports the
-solvers itself, so a process that only writes a report loads none of them.
+rebuilding its fields from the input file with ``reductions.gadget_fields``,
+the builder that wrote them.  Each verifier imports the solvers itself, so a
+process that only writes a report loads none of them.
 """
 
 from __future__ import annotations
@@ -66,34 +67,28 @@ def witness_payload(kind_or_operation: str, witness) -> dict:
     return {key: _PAYLOADS[key][0](witness)}
 
 
-def gadget_map_payload(gm) -> dict:
-    """A reduce report's gadget map, without the source instance: the report
-    writes that once, under ``instance``."""
-    return {key: value for key, value in gm._asdict().items() if key != "instance"}
+def verify_report(report: dict, source, input_bytes: Optional[bytes] = None) -> tuple[bool, str]:
+    """Recompute a report's claim from its witness.  Returns (ok, detail).
 
-
-def target_payload(target) -> dict:
-    return {"exact": str(target.exact), "budget": target.budget}
-
-
-def verify_report(report: dict, g: Graph, graph_bytes: Optional[bytes] = None) -> tuple[bool, str]:
-    """Recompute a report's claim from its witness.  Returns (ok, detail)."""
+    ``source`` is the parsed input file: the instance of a ``reduce``
+    construction, else the graph.
+    """
     if not isinstance(report, dict):
         return False, "report must be a JSON object"
-    if graph_bytes is not None:
+    if input_bytes is not None:
         want = report.get("input_digest")
-        if want and want != digest_bytes(graph_bytes):
-            return False, "input digest does not match the graph file"
+        if want and want != digest_bytes(input_bytes):
+            return False, "input digest does not match the input file"
     sub = report.get("subcommand")
     try:
         if sub in ("blocker", "oracle"):
-            return _verify_blocker(report, g)
+            return _verify_blocker(report, source)
         if sub == "param":
-            return _verify_param(report, g)
+            return _verify_param(report, source)
         if sub == "mono":
-            return _verify_mono(report, g)
+            return _verify_mono(report, source)
         if sub == "reduce":
-            return _verify_reduce(report, g)
+            return _verify_reduce(report, source)
     except CapacityExceededError:
         raise  # "could not check" is a refusal, not "invalid"
     except Exception as exc:  # verification must never crash on bad reports
@@ -105,8 +100,19 @@ def _integer_complaint(report: dict, *fields: tuple[str, int]) -> Optional[str]:
     """Name the first ``(key, least)`` field that is not an integer >= least."""
     for key, least in fields:
         # bool is an int subclass, but not an integer in the JSON schema.
-        if type(report[key]) is not int or report[key] < least:
-            return f"{key} must be an integer >= {least}, got {report[key]!r}"
+        if type(report.get(key)) is not int or report[key] < least:
+            return f"{key} must be an integer >= {least}, got {report.get(key)!r}"
+    return None
+
+
+def _entry_complaint(obj: dict, *keys: str) -> Optional[str]:
+    """Name the first entry, or edge end, of a list ``obj[key]`` that is not
+    an integer: a vertex, an edge or a colour is never true or 1.0."""
+    for key in keys:
+        for entry in obj.get(key, ()):
+            for x in entry if isinstance(entry, list) else [entry]:
+                if type(x) is not int:
+                    return f"{key} must hold integers, got {x!r}"
     return None
 
 
@@ -118,8 +124,7 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
         return False, f"answer must be 'yes' or 'no', got {report['answer']!r}"
     # The compared values may be null, but never a bool or a float: True == 1.
     nullable = [(key, 0) for key in ("value_before", "value_after") if report.get(key) is not None]
-    complaint = _integer_complaint(report, ("k", 0), ("d", 1), *nullable)
-    if complaint:
+    if complaint := _integer_complaint(report, ("k", 0), ("d", 1), *nullable):
         return False, complaint
     parameter = report["parameter"]
     operation = report["operation"]
@@ -133,6 +138,8 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
     if report["answer"] == "no":
         return True, "no-answer; nothing to verify beyond the input value"
     witness = report.get("witness") or {}
+    if complaint := _entry_complaint(witness, "edges", "vertices"):
+        return False, complaint
     size = len(witness.get("edges", [])) + len(witness.get("vertices", []))
     if size > report["k"]:
         return False, f"witness has {size} elements, budget k={report['k']}"
@@ -148,14 +155,15 @@ def _verify_blocker(report: dict, g: Graph) -> tuple[bool, str]:
 def _verify_param(report: dict, g: Graph) -> tuple[bool, str]:
     from .parameters import ParameterValue, certified_value, validate_witness
 
-    complaint = _integer_complaint(report, ("value", 0))
-    if complaint:
+    if complaint := _integer_complaint(report, ("value", 0)):
         return False, complaint
     kind = report["kind"]
     value = report["value"]
     key = WITNESS_KEYS.get(kind)
     if key is None:
         return False, f"unknown parameter kind {kind!r}"
+    if complaint := _entry_complaint(report["witness"], key):
+        return False, complaint
     pv = ParameterValue(kind, value, _PAYLOADS[key][1](report["witness"][key]))
     if not validate_witness(g, pv):
         return False, "witness does not certify the reported value"
@@ -172,7 +180,7 @@ def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
     nullable = [("chi", 1)] if report.get("chi") is not None else []
     complaint = _integer_complaint(
         report, ("h", 1) if mode == "fixed-h" else ("d", 0), ("min_mono_edges", 0), *nullable
-    )
+    ) or _entry_complaint(report, "colouring", "deleted_edges")
     if complaint:
         return False, complaint
     colouring = tuple(report["colouring"])
@@ -201,58 +209,18 @@ def _verify_mono(report: dict, g: Graph) -> tuple[bool, str]:
     return True, f"colouring certified with {len(mono)} monochromatic edges"
 
 
-def _verify_reduce(report: dict, g: Graph) -> tuple[bool, str]:
-    """Rebuild the gadget from its source and compare it with the report.
+def _verify_reduce(report: dict, source) -> tuple[bool, str]:
+    """Rebuild the report's fields from the input file and compare them."""
+    from .reductions import gadget_fields
 
-    The source is the report's ``instance`` (sat2chordal, mss2mono), or for
-    vc2cb the graph file less the universal vertex, with ``k``.
-    """
-    from .graph import delete_vertices
-    from .graphio import MssInstance, SatInstance, parse_graph
-    from .reductions import build_chordal_gadget, build_mss_gadget, build_vc_gadget
-
-    difference = _graph_difference(parse_graph(report["graph"]), g, "the report's graph")
-    if difference:
-        return False, difference
-    construction = report["construction"]
-    inst = report.get("instance")
-    if construction == "vc2cb":
-        complaint = _integer_complaint(report, ("k", 0))
-        if complaint:
-            return False, complaint
-        base, _ = delete_vertices(g, [report["gadget_map"]["universal_vertex"]])
-        gadget, gm = build_vc_gadget(base, report["k"])
-    elif construction == "sat2chordal":
-        sat = SatInstance.make(inst["variables"], inst["clauses"], inst["k"])
-        gadget, gm = build_chordal_gadget(sat)
-    elif construction == "mss2mono":
-        mss = MssInstance(inst["ell"], tuple(inst["a"]), inst["h"], inst["J"])
-        gadget, gm, target = build_mss_gadget(mss)
-    else:
-        return False, f"unknown construction {construction!r}"
-    difference = _graph_difference(gadget, g, f"the {construction} gadget rebuilt from its source")
-    if difference:
-        return False, difference
-    rebuilt = {"gadget_map": gadget_map_payload(gm)}
-    if construction == "mss2mono":
-        rebuilt["target"] = target_payload(target)
+    construction = report.get("construction")
+    if construction == "vc2cb" and (complaint := _integer_complaint(report, ("k", 0))):
+        return False, complaint
+    rebuilt = gadget_fields(construction, source, report.get("k"))
     field = _first_difference(rebuilt, {key: report.get(key) for key in rebuilt})
     if field:
-        return False, f"{field} differs from the rebuilt {construction} gadget"
-    return True, f"the {construction} gadget rebuilt from its source matches the report"
-
-
-def _graph_difference(claimed: Graph, g: Graph, name: str) -> Optional[str]:
-    """Name the first difference between ``claimed`` and the graph file."""
-    if claimed.n != g.n:
-        return f"{name} has {claimed.n} vertices, the graph file {g.n}"
-    edges = set(claimed.edges())
-    only = edges ^ set(g.edges())
-    if not only:
-        return None
-    edge = min(only)
-    where = name if edge in edges else "the graph file"
-    return f"{name} differs from the graph file: edge {edge} is only in {where}"
+        return False, f"{field} differs from the {construction} gadget rebuilt from the input file"
+    return True, f"the {construction} gadget rebuilt from the input file matches the report"
 
 
 def _first_difference(want, got, path: str = "") -> Optional[str]:

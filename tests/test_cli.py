@@ -417,45 +417,109 @@ def _reduce_report(capsys, tmp_path, construction):
     gadget = tmp_path / f"{construction}.graph"
     code, out = _run(capsys, "reduce", construction, str(source), *extra, "-o", str(gadget))
     assert code == 0
-    return json.loads(out), gadget
+    return json.loads(out), source
 
 
 @pytest.mark.parametrize("construction", sorted(REDUCE_SOURCES))
 def test_verify_reduce_round_trip(capsys, tmp_path, construction):
-    report, gadget = _reduce_report(capsys, tmp_path, construction)
+    report, source = _reduce_report(capsys, tmp_path, construction)
     report_file = tmp_path / "reduce.json"
     report_file.write_text(json.dumps(report))
-    code, out = _run(capsys, "verify", str(report_file), str(gadget))
+    code, out = _run(capsys, "verify", str(report_file), str(source))
     assert code == 0 and json.loads(out)["valid"], out
 
 
 @pytest.mark.parametrize("construction", sorted(REDUCE_SOURCES))
 def test_verify_reduce_rejects_a_removed_gadget_edge(capsys, tmp_path, construction):
-    # The edge goes from the report and from the graph file alike, so the two
-    # agree and only the gadget rebuilt from the source can tell.
-    report, gadget = _reduce_report(capsys, tmp_path, construction)
+    # The input digest still matches: only the gadget rebuilt from the input
+    # file can tell.
+    report, source = _reduce_report(capsys, tmp_path, construction)
     g = parse_graph(report["graph"])
-    u, v = g.edges()[-1]
-    report["graph"] = format_graph(delete_edges(g, [(u, v)]))
-    gadget.write_text(report["graph"])
+    report["graph"] = format_graph(delete_edges(g, [g.edges()[-1]]))
     report_file = tmp_path / "reduce.json"
     report_file.write_text(json.dumps(report))
-    code, out = _run(capsys, "verify", str(report_file), str(gadget))
+    code, out = _run(capsys, "verify", str(report_file), str(source))
     verdict = json.loads(out)
     assert code == 1 and not verdict["valid"]
-    assert f"edge {(u, v)} is only in the {construction} gadget" in verdict["detail"]
+    assert verdict["detail"] == (
+        f"graph differs from the {construction} gadget rebuilt from the input file"
+    )
 
 
 def test_verify_reduce_names_a_changed_gadget_map(capsys, tmp_path):
-    report, gadget = _reduce_report(capsys, tmp_path, "sat2chordal")
+    report, source = _reduce_report(capsys, tmp_path, "sat2chordal")
     report["gadget_map"]["clause_vertex"].reverse()
     report_file = tmp_path / "reduce.json"
     report_file.write_text(json.dumps(report))
-    code, out = _run(capsys, "verify", str(report_file), str(gadget))
+    code, out = _run(capsys, "verify", str(report_file), str(source))
     assert code == 1
     assert json.loads(out)["detail"] == (
-        "gadget_map.clause_vertex differs from the rebuilt sat2chordal gadget"
+        "gadget_map.clause_vertex differs from the sat2chordal gadget rebuilt from the input file"
     )
+
+
+# For each construction, a second source whose report must not verify
+# against the first.  The mss2mono pair differs only in J, so the gadget
+# graph and map agree and only the instance and target can tell.
+REDUCE_FORGERIES = {
+    "vc2cb": format_graph(delete_edges(cycle_graph(6), [(0, 1)])),
+    "sat2chordal": "p wp2sat 3 1 1\n1 2\n",
+    "mss2mono": "3 2 19\n1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("construction", sorted(REDUCE_FORGERIES))
+@pytest.mark.parametrize("keep_digest", [True, False], ids=["digest", "no-digest"])
+def test_verify_reduce_rejects_a_report_of_another_source(capsys, tmp_path, construction,
+                                                          keep_digest):
+    _, source = _reduce_report(capsys, tmp_path, construction)
+    forged_source = tmp_path / "forged.src"
+    forged_source.write_text(REDUCE_FORGERIES[construction])
+    code, out = _run(capsys, "reduce", construction, str(forged_source),
+                     *REDUCE_SOURCES[construction][1])
+    assert code == 0
+    forged = json.loads(out)
+    if not keep_digest:
+        del forged["input_digest"]
+    report_file = tmp_path / "forged.json"
+    report_file.write_text(json.dumps(forged))
+    code, out = _run(capsys, "verify", str(report_file), str(source))
+    verdict = json.loads(out)
+    assert code == 1 and not verdict["valid"], out
+    if keep_digest:
+        assert verdict["detail"] == "input digest does not match the input file"
+    else:
+        assert "rebuilt from the input file" in verdict["detail"]
+
+
+@pytest.mark.parametrize(
+    "construction, change",
+    [
+        ("vc2cb", {"construction": None}),
+        ("sat2chordal", {"construction": None}),
+        ("vc2cb", {"construction": ["vc2cb"]}),
+        ("mss2mono", {"construction": ["mss2mono"]}),
+        ("vc2cb", {"construction": "vc2cc"}),
+        ("vc2cb", {"k": None}),
+        ("vc2cb", {"k": True}),
+        ("sat2chordal", {"construction": "vc2cb", "k": 1}),
+        ("vc2cb", {"construction": "mss2mono"}),
+    ],
+    ids=["vc2cb-no-construction", "sat-no-construction", "vc2cb-list", "mss-list", "unknown",
+         "k-missing", "k-true", "sat-read-as-graph", "graph-read-as-mss"],
+)
+def test_verify_malformed_reduce_report_is_invalid_or_bad_input(capsys, tmp_path,
+                                                                 construction, change):
+    report, source = _reduce_report(capsys, tmp_path, construction)
+    for key, value in change.items():
+        if value is None:
+            del report[key]
+        else:
+            report[key] = value
+    report_file = tmp_path / "reduce.json"
+    report_file.write_text(json.dumps(report))
+    assert main(["verify", str(report_file), str(source)]) in (1, 2)
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_reduce_rejects_triangle_input(capsys, tmp_path):
@@ -613,7 +677,7 @@ PIN_CLASSES = {
     "chordal12.graph": ("chordal",),
     "empty.graph": ("bipartite", "chordal"),
 }
-PIN_DIGEST = "1668a38725c54fe9"
+PIN_DIGEST = "cfd681d8e6362cd1"
 
 
 def _pin_argvs():
@@ -668,10 +732,11 @@ def pinned_runs(tmp_path_factory):
         for i, argv in enumerate(_pin_argvs()):
             code, out, err = _main_captured(argv)
             runs.append((argv, code, out, err))
-            if argv[0] in ("param", "blocker", "oracle", "mono") and code in (0, 1):
+            if argv[0] in ("param", "blocker", "oracle", "mono", "reduce") and code in (0, 1):
                 report = f"report{i}.json"
                 Path(report).write_text(out)
-                verify = ["verify", report, argv[-1]]
+                # A reduce report verifies against its instance file.
+                verify = ["verify", report, argv[2] if argv[0] == "reduce" else argv[-1]]
                 runs.append((verify, *_main_captured(verify)))
     finally:
         os.chdir(cwd)

@@ -226,3 +226,39 @@ def test_single_vertex_mono_report_with_boolean_chi_rejected():
     assert ok, detail
     ok, detail = verify_report(dict(report, chi=True), Graph(1))
     assert not ok and "chi must be" in detail
+
+
+# A vertex, an edge end or a colour that JSON writes as false, true or 1.0
+# compares equal to an integer in Python, but the schema declares integers.
+@pytest.mark.parametrize("entry", [False, 0.0], ids=["false", "float"])
+def test_param_witness_entries_must_be_integers(entry):
+    report = {"subcommand": "param", "kind": "alpha", "value": 2, "witness": {"vertices": [0, 2]}}
+    ok, detail = verify_report(report, path_graph(3))
+    assert ok, detail
+    report["witness"]["vertices"][0] = entry
+    ok, detail = verify_report(report, path_graph(3))
+    assert not ok and detail == f"vertices must hold integers, got {entry!r}"
+
+
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["true", "float"])
+def test_mono_colouring_entries_must_be_integers(entry):
+    report = {"subcommand": "mono", "mode": "deficiency", "d": 0, "chi": 2,
+              "min_mono_edges": 0, "colouring": [1, 2], "deleted_edges": []}
+    ok, detail = verify_report(report, complete_graph(2))
+    assert ok, detail
+    report["colouring"][0] = entry
+    ok, detail = verify_report(report, complete_graph(2))
+    assert not ok and detail == f"colouring must hold integers, got {entry!r}"
+
+
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["true", "float"])
+def test_oracle_witness_edge_ends_must_be_integers(entry):
+    # Contracting one edge of P3 drops alpha from 2 to 1.
+    report = {"subcommand": "oracle", "operation": "contract", "parameter": "alpha",
+              "k": 1, "d": 1, "answer": "yes", "witness": {"edges": [[0, 1]]},
+              "value_before": 2, "value_after": 1}
+    ok, detail = verify_report(report, path_graph(3))
+    assert ok, detail
+    report["witness"]["edges"][0][1] = entry
+    ok, detail = verify_report(report, path_graph(3))
+    assert not ok and detail == f"edges must hold integers, got {entry!r}"
