@@ -166,3 +166,79 @@ def test_chordal_gadget_like_graphs_recognized():
     g = disjoint_union(complete_graph(3), complete_graph(2))
     assert isinstance(recognize_chordal(g), EliminationOrder)
     assert isinstance(recognize_bipartite(disjoint_union(path_graph(2), path_graph(3))), Bipartition)
+
+
+# Differential checks: each certificate test against its definition, written
+# out here, on every labelled graph on five vertices.
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield Graph(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [[first], *partition]
+        for i in range(len(partition)):
+            yield [*partition[:i], [first, *partition[i]], *partition[i + 1 :]]
+
+
+def _accepts(validate, g, cert):
+    try:
+        validate(g, cert)
+    except CertificateError:
+        return False
+    return True
+
+
+def test_elimination_order_check_matches_its_definition():
+    # A perfect elimination order: the later neighbours of each vertex are
+    # pairwise adjacent.  A graph is chordal iff it has one.
+    orders = list(itertools.permutations(range(5)))
+    for g in _labelled_graphs(5):
+        any_perfect = False
+        for order in orders:
+            pos = {v: i for i, v in enumerate(order)}
+            perfect = all(
+                g.has_edge(a, b)
+                for v in order
+                for a, b in itertools.combinations([w for w in g.neighbours(v) if pos[w] > pos[v]], 2)
+            )
+            any_perfect |= perfect
+            assert _accepts(validate_elimination_order, g, EliminationOrder(order)) == perfect, (
+                g.edges(), order)
+        assert isinstance(recognize_chordal(g), EliminationOrder) == any_perfect, g.edges()
+
+
+def test_bipartition_check_matches_its_definition():
+    # A bipartition: no edge has both ends on one side.
+    for g in _labelled_graphs(5):
+        for left_mask in range(1 << 5):
+            left = frozenset(v for v in range(5) if left_mask >> v & 1)
+            right = frozenset(range(5)) - left
+            proper = all((u in left) != (v in left) for u, v in g.edges())
+            assert _accepts(validate_bipartition, g, Bipartition(left, right)) == proper, (
+                g.edges(), left)
+
+
+def test_multipartite_check_matches_its_definition():
+    # Parts of a complete multipartite graph: two vertices are adjacent
+    # exactly when they lie in different parts.
+    partitions = [tuple(map(frozenset, p)) for p in _set_partitions(list(range(5)))]
+    assert len(partitions) == 52  # the Bell number B5
+    for g in _labelled_graphs(5):
+        any_fits = False
+        for parts in partitions:
+            part_of = {v: i for i, part in enumerate(parts) for v in part}
+            fits = all(
+                g.has_edge(u, v) == (part_of[u] != part_of[v])
+                for u, v in itertools.combinations(range(5), 2)
+            )
+            any_fits |= fits
+            assert _accepts(validate_multipartite, g, MultipartiteParts(parts)) == fits, (
+                g.edges(), parts)
+        assert isinstance(recognize_complete_multipartite(g), MultipartiteParts) == any_fits
