@@ -42,6 +42,11 @@ def to_mask(vertices: Iterable[int]) -> int:
     return m
 
 
+def is_independent(adj: Sequence[int], mask: int) -> bool:
+    """True iff no two vertices of ``mask`` are adjacent in the masks ``adj``."""
+    return not any(adj[v] & mask for v in bits(mask))
+
+
 def components(adj: tuple[int, ...], mask: int, co: bool = False) -> list[int]:
     """Components of ``G[mask]``, or of its complement when ``co``, as
     bitmasks ordered by least vertex."""

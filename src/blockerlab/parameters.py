@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Union
 
 from .cotree import fold, proper_colouring
 from .errors import CertificateError, GraphFormatError, check_capacity
-from .graph import Edge, Graph, bits, to_mask
+from .graph import Edge, Graph, bits, is_independent, to_mask
 from .recognizers import (
     Bipartition,
     CotreeCertificate,
@@ -350,12 +350,11 @@ def validate_witness(g: Graph, pv: ParameterValue) -> bool:
             return False
         inside = to_mask(wit)
         if pv.kind == "alpha":
-            return not any(g.adj[v] & inside for v in wit)
+            return is_independent(g.adj, inside)
         if pv.kind == "omega":
             return all(inside & ~g.adj[v] == 1 << v for v in wit)
         # A vertex cover leaves no edge with both ends outside it.
-        outside = ((1 << g.n) - 1) & ~inside
-        return not any(g.adj[v] & outside for v in bits(outside))
+        return is_independent(g.adj, ((1 << g.n) - 1) & ~inside)
     if pv.kind == "theta":
         # Cliques, possibly overlapping, whose union is the vertex set.
         cliques = [ParameterValue("omega", len(c), c) for c in pv.witness]

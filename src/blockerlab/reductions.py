@@ -38,14 +38,8 @@ from .graph import (
 )
 from .graphio import MssInstance, SatInstance, format_graph
 from .monochromatic import Colouring, recolour_module
-from .parameters import alpha_chordal, omega_exact
-from .recognizers import (
-    EliminationOrder,
-    MultipartiteParts,
-    NotInClass,
-    recognize_chordal,
-    recognize_complete_multipartite,
-)
+from .parameters import certified_value
+from .recognizers import MultipartiteParts, recognize_complete_multipartite
 
 
 class VcGadgetMap(NamedTuple):
@@ -122,10 +116,12 @@ def contraction_set_to_vc(gm: VcGadgetMap, g: Graph, s) -> frozenset[int]:
     universal vertex, or everything except one vertex (the highest index)
     for components avoiding it.
     """
+    from .oracle import is_contraction_critical
+
     s = validate_edge_set(g, s)
-    contracted, into = contract_edges(g, s)
-    if omega_exact(contracted).value >= omega_exact(g).value:
+    if not is_contraction_critical(g, s, "omega"):
         raise CriticalityError("the set does not reduce the clique number")
+    into = contract_edges(g, s)[1]
     w = gm.universal_vertex
     components: dict[int, list[int]] = {}
     for v, merged in enumerate(into):
@@ -161,19 +157,14 @@ def build_chordal_gadget(sat: SatInstance) -> tuple[Graph, ChordalGadgetMap]:
         edges.extend((u, clause_vertex[c]) for u in var_clique[x] + var_clique[y])
     gadget = Graph(offset + len(sat.clauses), edges)
 
-    cert = recognize_chordal(gadget)
-    if not isinstance(cert, EliminationOrder):
-        raise CertificateError("chordal gadget is not chordal")
-    if alpha_chordal(gadget, cert).value != sat.variable_count + 1:
+    if _gadget_alpha(gadget) != sat.variable_count + 1:
         raise CertificateError("chordal gadget alpha is not the variable count plus one")
     return gadget, ChordalGadgetMap(var_vertex, var_clique, clause_vertex, instance=sat)
 
 
 def _gadget_alpha(g: Graph) -> int:
-    cert = recognize_chordal(g)
-    if isinstance(cert, NotInClass):
-        raise CriticalityError("derived graph is unexpectedly not chordal")
-    return alpha_chordal(g, cert).value
+    """alpha of a chordal graph by Gavril's route; else GraphFormatError."""
+    return certified_value(g, "alpha", "chordal")[0].value
 
 
 def _checked_assignment(gm: ChordalGadgetMap, positives) -> list[int]:
