@@ -20,7 +20,7 @@ import hashlib
 import json
 from typing import Optional
 
-from .errors import CapacityExceededError
+from .errors import BlockerlabError, CapacityExceededError
 from .graph import Graph
 
 SCHEMA_VERSION = 1
@@ -67,18 +67,19 @@ def witness_payload(kind_or_operation: str, witness) -> dict:
     return {key: _PAYLOADS[key][0](witness)}
 
 
-def verify_report(report: dict, source, input_bytes: Optional[bytes] = None) -> tuple[bool, str]:
+def verify_report(report: dict, source, input_bytes: bytes) -> tuple[bool, str]:
     """Recompute a report's claim from its witness.  Returns (ok, detail).
 
-    ``source`` is the parsed input file: the instance of a ``reduce``
-    construction, else the graph.
+    ``input_bytes`` is the input file, which the report's ``input_digest``
+    must name, and ``source`` what it parses to: the instance of a
+    ``reduce`` construction, else the graph.
     """
     if not isinstance(report, dict):
         return False, "report must be a JSON object"
-    if input_bytes is not None:
-        want = report.get("input_digest")
-        if want and want != digest_bytes(input_bytes):
-            return False, "input digest does not match the input file"
+    if "input_digest" not in report:
+        return False, "report has no input_digest"
+    if report["input_digest"] != digest_bytes(input_bytes):
+        return False, "input digest does not match the input file"
     sub = report.get("subcommand")
     try:
         if sub in ("blocker", "oracle"):
@@ -91,6 +92,8 @@ def verify_report(report: dict, source, input_bytes: Optional[bytes] = None) -> 
             return _verify_reduce(report, source)
     except CapacityExceededError:
         raise  # "could not check" is a refusal, not "invalid"
+    except BlockerlabError as exc:  # the library rejected a part of the report
+        return False, str(exc)
     except Exception as exc:  # verification must never crash on bad reports
         return False, f"verification error: {exc}"
     return False, f"no verifier for subcommand {sub!r}"

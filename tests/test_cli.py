@@ -26,6 +26,7 @@ from blockerlab.graph import (
     path_graph,
 )
 from blockerlab.graphio import format_graph, parse_graph
+from blockerlab.report import digest_bytes
 
 
 @pytest.fixture
@@ -489,7 +490,13 @@ def test_verify_reduce_rejects_a_report_of_another_source(capsys, tmp_path, cons
     if keep_digest:
         assert verdict["detail"] == "input digest does not match the input file"
     else:
-        assert "rebuilt from the input file" in verdict["detail"]
+        assert verdict["detail"] == "report has no input_digest"
+        # Given the digest of the real source, only the gadget rebuilt from
+        # the input file can tell.
+        forged["input_digest"] = digest_bytes(source.read_bytes())
+        report_file.write_text(json.dumps(forged))
+        code, out = _run(capsys, "verify", str(report_file), str(source))
+        assert code == 1 and "rebuilt from the input file" in json.loads(out)["detail"], out
 
 
 @pytest.mark.parametrize(
@@ -519,6 +526,49 @@ def test_verify_malformed_reduce_report_is_invalid_or_bad_input(capsys, tmp_path
     report_file = tmp_path / "reduce.json"
     report_file.write_text(json.dumps(report))
     assert main(["verify", str(report_file), str(source)]) in (1, 2)
+
+
+def test_verify_requires_the_input_digest(capsys, tmp_path, p4_file):
+    # alpha(C4) = 2 = alpha(P4), so only the digest ties the report to C4.
+    c4_file = tmp_path / "c4.graph"
+    c4_file.write_text(format_graph(cycle_graph(4)))
+    _, out = _run(capsys, "param", "--kind", "alpha", str(c4_file))
+    report = json.loads(out)
+    del report["input_digest"]
+    report_file = tmp_path / "no-digest.json"
+    report_file.write_text(json.dumps(report))
+    for graph_file in (str(c4_file), p4_file):
+        code, out = _run(capsys, "verify", str(report_file), graph_file)
+        assert code == 1 and json.loads(out) == {"valid": False,
+                                                 "detail": "report has no input_digest"}
+
+
+# Parts of a report that the library rejects, and the complaint verify names.
+NAMED_COMPLAINTS = {
+    "reduce-no-construction": (
+        ["reduce", "vc2cb", "-k", "2"], lambda r: r.pop("construction"),
+        "unknown construction None",
+    ),
+    "blocker-chord-as-witness": (
+        ["blocker", "-k", "1", "-d", "1"], lambda r: r["witness"].update(edges=[[0, 2]]),
+        "(0, 2) is not an edge of the host graph",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_COMPLAINTS))
+def test_verify_names_what_the_library_rejects(capsys, tmp_path, name):
+    argv, change, complaint = NAMED_COMPLAINTS[name]
+    c4_file = tmp_path / "c4.graph"
+    c4_file.write_text(format_graph(cycle_graph(4)))
+    code, out = _run(capsys, *argv, str(c4_file))
+    assert code == 0
+    report = json.loads(out)
+    change(report)
+    report_file = tmp_path / "changed.json"
+    report_file.write_text(json.dumps(report))
+    code, out = _run(capsys, "verify", str(report_file), str(c4_file))
+    assert code == 1 and json.loads(out) == {"valid": False, "detail": complaint}
 
 
 def test_reduce_rejects_triangle_input(capsys, tmp_path):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from blockerlab.errors import BlockerlabError
 from blockerlab.graph import complete_graph, cycle_graph
-from blockerlab.graphio import MAX_VERTICES, parse_graph, parse_mss_instance, parse_sat_instance
-from blockerlab.report import load_report, verify_report
+from blockerlab.graphio import (
+    MAX_VERTICES, format_graph, parse_graph, parse_mss_instance, parse_sat_instance
+)
+from blockerlab.report import digest_bytes, load_report, verify_report
 
 PARSERS = (parse_graph, parse_sat_instance, parse_mss_instance)
 
@@ -87,14 +89,18 @@ def test_load_report_is_total(text):
         assert isinstance(report, dict)
 
 
-@given(report=st.one_of(JSON, REPORTS), graph_bytes=st.one_of(st.none(), st.binary(max_size=8)))
+@given(report=st.one_of(JSON, REPORTS), matching=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_verify_report_is_total(report, graph_bytes):
+def test_verify_report_is_total(report, matching):
     for g in (cycle_graph(5), complete_graph(4)):
-        ok, detail = verify_report(report, g, graph_bytes)
+        data = format_graph(g).encode()
+        if matching and isinstance(report, dict):
+            # The digest of the graph's file, so the verifiers behind it run.
+            report = {**report, "input_digest": digest_bytes(data)}
+        ok, detail = verify_report(report, g, data)
         assert isinstance(ok, bool) and isinstance(detail, str)
     # The same object after a JSON round trip, as the CLI reads it.
-    _total(lambda: verify_report(load_report(json.dumps(report)), cycle_graph(5)))
+    _total(lambda: verify_report(load_report(json.dumps(report)), g, data))
 
 
 def test_parser_edge_cases_found_by_fuzzing():
@@ -105,5 +111,5 @@ def test_parser_edge_cases_found_by_fuzzing():
     # json raises RecursionError on deep nesting; a report must not.
     with pytest.raises(ValueError):
         load_report("[" * 100_000)
-    ok, detail = verify_report([1, 2], cycle_graph(5))
+    ok, detail = verify_report([1, 2], cycle_graph(5), format_graph(cycle_graph(5)).encode())
     assert not ok and "JSON object" in detail

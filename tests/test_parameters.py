@@ -19,6 +19,7 @@ from blockerlab.graph import (
     star_graph,
     to_mask,
 )
+from blockerlab.graphio import format_graph
 from blockerlab.parameters import (
     ParameterValue,
     alpha_bipartite,
@@ -38,7 +39,7 @@ from blockerlab.recognizers import (
     recognize_bipartite,
     recognize_chordal,
 )
-from blockerlab.report import verify_report
+from blockerlab.report import digest_bytes, verify_report
 
 
 def _random_graph(rng, n, p=0.5):
@@ -306,15 +307,17 @@ MUTATIONS = {
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_route_rejects_a_mutated_certificate(monkeypatch, name):
     patches, g, kind, witness, value = MUTATIONS[name]
-    report = {"subcommand": "param", "kind": kind, "value": value, "witness": witness}
-    ok, detail = verify_report(report, g)
+    data = format_graph(g).encode()
+    report = {"subcommand": "param", "input_digest": digest_bytes(data), "kind": kind,
+              "value": value, "witness": witness}
+    ok, detail = verify_report(report, g, data)
     assert ok, detail
     for attr, fake in patches.items():
         monkeypatch.setattr(parameters, attr, fake)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError) as raised:
         certified_value(g, kind)
-    ok, detail = verify_report(report, g)
-    assert not ok and "verification error" in detail
+    ok, detail = verify_report(report, g, data)
+    assert not ok and detail == str(raised.value)
 
 
 def test_mu_witness_is_a_matching():

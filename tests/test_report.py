@@ -2,7 +2,17 @@ import pytest
 
 from blockerlab.graph import Graph, complete_graph, cycle_graph, path_graph
 from blockerlab.graphio import format_graph
-from blockerlab.report import digest_bytes, verify_report
+from blockerlab.report import digest_bytes
+from blockerlab.report import verify_report as verify_against_file
+
+
+def verify_report(report, g):
+    """Verify ``report`` as ``blockerlab verify`` does, against the bytes of
+    ``g``'s graph file; a report without a digest is given that file's."""
+    data = format_graph(g).encode()
+    if isinstance(report, dict):
+        report = {"input_digest": digest_bytes(data), **report}
+    return verify_against_file(report, g, data)
 
 
 @pytest.fixture
@@ -33,8 +43,18 @@ def test_valid_blocker_report(k4):
 
 def test_digest_mismatch(k4):
     report = _blocker_report(input_digest=digest_bytes(b"something else"))
-    ok, detail = verify_report(report, k4, format_graph(k4).encode())
+    ok, detail = verify_report(report, k4)
     assert not ok and "digest" in detail
+
+
+def test_report_without_digest_is_invalid():
+    # alpha(C4) = 2 = alpha(P4): without its digest, a report of C4 would
+    # prove its claim about any file it is checked against.
+    report = {"subcommand": "param", "kind": "alpha", "value": 2, "witness": {"vertices": [0, 2]}}
+    for g in (cycle_graph(4), path_graph(4)):
+        assert verify_report(report, g)[0]
+        ok, detail = verify_against_file(report, g, format_graph(g).encode())
+        assert not ok and detail == "report has no input_digest"
 
 
 def test_oversized_witness_rejected(k4):
