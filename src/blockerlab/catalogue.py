@@ -15,6 +15,10 @@ The per-class generators are constructive and complete at these sizes:
 * complete multipartite: one graph per partition of n.
 
 Random generators take an explicit :class:`random.Random` so runs reproduce.
+
+Each class imports what only it runs: ``isomorphism`` for the grown
+catalogues, ``recognizers`` for the bipartite one and ``cotree`` for the
+cograph one.
 """
 
 from __future__ import annotations
@@ -24,10 +28,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .cotree import Cotree, CotreeLeaf, CotreeNode, _chain, realize_cotree
 from .graph import Graph, bits, complete_multipartite_graph
-from .isomorphism import dedup_isomorphic
-from .recognizers import recognize_bipartite
 
 CATALOGUE_CLASSES = (
     "bipartite",
@@ -68,6 +69,8 @@ def _catalogue_cached(clazz: str, n_max: int) -> tuple[Graph, ...]:
 def _grown_catalogue(n_max: int, attach_sets) -> Iterator[Graph]:
     """Grow level n from level n-1: join a new vertex to each non-empty
     attach set, and keep the first graph of each isomorphism class."""
+    from .isomorphism import dedup_isomorphic
+
     level = [Graph(1)]
     yield from level
     for _ in range(1, n_max):
@@ -81,6 +84,8 @@ def _grown_catalogue(n_max: int, attach_sets) -> Iterator[Graph]:
 
 
 def _one_side_subsets(g: Graph) -> Iterator[tuple[int, ...]]:
+    from .recognizers import recognize_bipartite
+
     cert = recognize_bipartite(g)
     for side in (sorted(cert.left), sorted(cert.right)):
         for r in range(1, len(side) + 1):
@@ -143,21 +148,17 @@ def _multisets(n: int, kind: str) -> Iterator[tuple]:
     yield from rec(n, n - 1, (), 0)
 
 
-def _shape_to_cotree(shape: tuple) -> Cotree:
-    counter = itertools.count()
+def _cograph_catalogue(n_max: int) -> Iterator[Graph]:
+    from .cotree import Cotree, CotreeLeaf, _chain, realize_cotree
 
-    def build(s) -> CotreeNode:
+    def build(s, counter):
         if s[0] == "leaf":
             return CotreeLeaf(next(counter))
-        return _chain([build(c) for c in s[1]], 1 if s[0] == "join" else 0)
+        return _chain([build(c, counter) for c in s[1]], 1 if s[0] == "join" else 0)
 
-    return Cotree(build(shape))
-
-
-def _cograph_catalogue(n_max: int) -> Iterator[Graph]:
     for n in range(1, n_max + 1):
         for shape in _rooted(n, "join"):
-            yield realize_cotree(_shape_to_cotree(shape))
+            yield realize_cotree(Cotree(build(shape, itertools.count())))
 
 
 def _multipartite_catalogue(n_max: int) -> Iterator[Graph]:

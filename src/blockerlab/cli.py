@@ -7,14 +7,33 @@ error, so a crash never reads as a "no".  Reports follow
 ``docs/report_schema.json`` and re-validate with the ``verify`` subcommand.
 ``param``, ``blocker``, ``oracle``, ``mono`` and ``reduce`` report through
 one path, :func:`_answer`; its ``wall_time_s`` times the whole handler
-(``mono``'s cotree included), and ``report.WITNESS_KEYS`` names every witness
-key.  ``INPUT_PARSERS`` reads the input file of a ``reduce`` construction, for
-the report and for ``verify`` alike; every other input file is a graph.
+(``mono``'s cotree included, and the loading of the modules the handler
+imports), and ``report.WITNESS_KEYS`` names every witness key.
+``INPUT_PARSERS`` reads the input file of a ``reduce`` construction, for the
+report and for ``verify`` alike; every other input file is a graph.
 
 Each process runs one subcommand and most of its time is start-up, so this
-module loads only ``errors`` and ``graphio`` from the package.  Each handler
-imports the solvers, recognisers and report helpers it runs, and
-``traceback`` is imported only to print an internal error.
+module loads only ``errors`` and ``graphio`` (with ``graph``) from the
+package, and ``traceback`` only to print an internal error.  A library module
+imports a sibling at module level only when every route that loads it runs
+that sibling; otherwise the function that needs the sibling imports it.
+Besides those three, each route loads:
+
+* ``cotree``: ``cotree``;
+* ``param``: ``report``, ``parameters``, ``recognizers``, and ``cotree`` when
+  it recognises cographs (``--class cograph``, or omega or chi on a graph
+  that is not bipartite);
+* ``mono``: ``report``, ``cotree``, ``monochromatic``;
+* ``oracle``: ``report``, ``oracle``, ``parameters``, ``recognizers``;
+* ``blocker``: those four and ``bipartite_blocker``;
+* ``reduce``: ``report`` and ``reductions``, then ``parameters`` and
+  ``recognizers`` for sat2chordal, and ``recognizers`` for mss2mono;
+* ``catalogue``: ``catalogue``, then ``isomorphism`` for the grown classes,
+  ``recognizers`` for bipartite and ``cotree`` for cograph;
+* ``verify``: ``report``, and the modules of the checks it runs.
+
+One exception to the rule: ``parameters`` imports ``recognizers``, whose
+certificate types annotate its class routes, so ``oracle`` loads it unrun.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import InvalidEdgeError, InvalidVertexError
 
 Edge = tuple[int, int]
+Colouring = tuple[int, ...]  # one colour per vertex
 
 
 def edge(u: int, v: int) -> Edge:

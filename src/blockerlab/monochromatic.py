@@ -38,9 +38,7 @@ from typing import Optional, Sequence
 
 from .cotree import Cotree, CotreeLeaf, proper_colouring
 from .errors import CertificateError, check_capacity, configured_budget
-from .graph import Edge, Graph, bits, to_mask
-
-Colouring = tuple[int, ...]
+from .graph import Colouring, Edge, Graph, bits, to_mask
 
 # The budget counts memo states, but a join node tries C(mq, lam) * P(mr, lam)
 # matchings per pair of frontier tuples, with lam <= d: work that no budget

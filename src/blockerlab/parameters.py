@@ -19,7 +19,6 @@ from functools import cache
 from operator import or_
 from typing import NamedTuple, Optional, Union
 
-from .cotree import fold, proper_colouring
 from .errors import CertificateError, GraphFormatError, check_capacity
 from .graph import Edge, Graph, bits, is_independent, to_mask
 from .recognizers import (
@@ -264,6 +263,8 @@ def cograph_pair(g: Graph, cert: CotreeCertificate) -> tuple[ParameterValue, Par
     number: the clique takes both children's cliques at a join and the larger
     (the left on a tie) at a union.
     """
+    from .cotree import fold, proper_colouring
+
     t = cert.cotree
     clique = fold(t, lambda v: 1 << v, lambda a, b: max(a, b, key=int.bit_count), or_)[-1]
     colouring = proper_colouring(t)

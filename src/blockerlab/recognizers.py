@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Optional, Union
 
-from .cotree import Cotree, build_cotree
 from .errors import CertificateError, NotACographError
 from .graph import (
     Graph, bits, components, contains_induced, disjoint_union, is_independent, path_graph, to_mask
@@ -32,7 +31,7 @@ class EliminationOrder(NamedTuple):
 
 
 class CotreeCertificate(NamedTuple):
-    cotree: Cotree
+    cotree: Cotree  # recognize_cograph imports cotree, which most routes never run
 
 
 class MultipartiteParts(NamedTuple):
@@ -163,6 +162,8 @@ def validate_elimination_order(g: Graph, cert: EliminationOrder) -> None:
 
 
 def recognize_cograph(g: Graph) -> Union[CotreeCertificate, NotInClass]:
+    from .cotree import build_cotree
+
     try:
         return CotreeCertificate(build_cotree(g))
     except NotACographError as exc:

@@ -13,17 +13,22 @@ Three constructions:
 Builders re-verify their structural postconditions on construction, and the
 transfer routines check the criticality/satisfiability preconditions they
 document, so every output is certified rather than assumed.
+
+``reduce`` runs one construction per process, so each construction imports
+what only it needs: ``parameters`` for the chordal gadget's alpha,
+``recognizers`` and ``fractions`` for the mss gadget, ``oracle`` and
+``monochromatic`` for the transfers back.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, CriticalityError, GadgetPreconditionError
 from .graph import (
+    Colouring,
     Edge,
     Graph,
     bits,
@@ -37,9 +42,6 @@ from .graph import (
     validate_vertex_set,
 )
 from .graphio import MssInstance, SatInstance, format_graph
-from .monochromatic import Colouring, recolour_module
-from .parameters import certified_value
-from .recognizers import MultipartiteParts, recognize_complete_multipartite
 
 
 class VcGadgetMap(NamedTuple):
@@ -60,7 +62,7 @@ class MssGadgetMap(NamedTuple):
 
 
 class MssTarget(NamedTuple):
-    exact: Fraction  # J/2 - D, may be non-integral
+    exact: Fraction  # J/2 - D, may be non-integral; build_mss_gadget imports fractions
     budget: int  # floor of the exact target; equivalent for integer counts
 
 
@@ -164,6 +166,8 @@ def build_chordal_gadget(sat: SatInstance) -> tuple[Graph, ChordalGadgetMap]:
 
 def _gadget_alpha(g: Graph) -> int:
     """alpha of a chordal graph by Gavril's route; else GraphFormatError."""
+    from .parameters import certified_value
+
     return certified_value(g, "alpha", "chordal")[0].value
 
 
@@ -240,6 +244,10 @@ def build_mss_gadget(mss: MssInstance) -> tuple[Graph, MssGadgetMap, MssTarget]:
     The monochromatic-edge budget is J/2 - D with D half the sum of squared
     entries; counts are integers, so the floor is an equivalent budget.
     """
+    from fractions import Fraction
+
+    from .recognizers import MultipartiteParts, recognize_complete_multipartite
+
     gadget = complete_multipartite_graph(mss.a)
     if not isinstance(recognize_complete_multipartite(gadget), MultipartiteParts):
         raise CertificateError("mss gadget is not complete multipartite")
@@ -304,6 +312,8 @@ def colouring_to_partition(
     graph, so the recolouring step never increases the monochromatic count.
     Returns the normalised colouring and the length-h group tuple.
     """
+    from .monochromatic import recolour_module
+
     mss = gm.instance
     out = tuple(c)
     for block in gm.parts:

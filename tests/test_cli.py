@@ -626,24 +626,43 @@ def test_light_subcommands_import_no_solver(capsys, tmp_path, p4_file, k4_file):
     _, out = _run(capsys, "blocker", "-k", "2", "-d", "1", p4_file)
     report = tmp_path / "blocker.json"
     report.write_text(out)
-    # Each subcommand's argv, and the package modules a run of it must not load.
+    sources = {}
+    for construction, (text, _) in REDUCE_SOURCES.items():
+        sources[construction] = tmp_path / f"{construction}.src"
+        sources[construction].write_text(text)
+    # Each route's argv, and the modules a run of it must not load: package
+    # modules by their name in the package, and the standard library's
+    # fractions.
     runs = [
         (["cotree", k4_file], SOLVER_MODULES | {"oracle", "parameters", "recognizers", "report"}),
-        (["catalogue", "--class", "bipartite", "--n", "4"], {"oracle", "parameters", "report"}),
-        (["param", "--kind", "alpha", p4_file], SOLVER_MODULES | {"oracle"}),
+        (["catalogue", "--class", "bipartite", "--n", "4"],
+         {"cotree", "oracle", "parameters", "report"}),
+        (["catalogue", "--class", "chordal", "--n", "4"],
+         {"cotree", "oracle", "parameters", "recognizers", "report"}),
+        (["param", "--kind", "alpha", "--class", "bipartite", p4_file],
+         SOLVER_MODULES | {"cotree", "oracle"}),
+        # K4 is a cograph too, but the chordal route reads no cotree.
+        (["param", "--kind", "alpha", "--class", "chordal", k4_file],
+         SOLVER_MODULES | {"cotree", "oracle"}),
         (["mono", "--mode", "deficiency", "-d", "1", k4_file],
          {"oracle", "parameters", "recognizers"}),
         (["oracle", "--op", "contract", "--param", "alpha", "-k", "2", "-d", "1", p4_file],
-         SOLVER_MODULES),
+         SOLVER_MODULES | {"cotree"}),
         (["verify", str(report), p4_file], SOLVER_MODULES),
-        (["blocker", "-k", "2", "-d", "1", p4_file], set()),
-        (["reduce", "vc2cb", "-k", "2", p4_file], set()),
+        (["blocker", "-k", "2", "-d", "1", p4_file], {"cotree"}),
+        (["reduce", "vc2cb", "-k", "2", str(sources["vc2cb"])],
+         {"cotree", "monochromatic", "parameters", "recognizers", "fractions"}),
+        (["reduce", "sat2chordal", str(sources["sat2chordal"])],
+         {"cotree", "monochromatic", "fractions"}),
+        (["reduce", "mss2mono", str(sources["mss2mono"])],
+         {"cotree", "monochromatic", "parameters"}),
     ]
     for argv, excluded in runs:
         loaded = _modules_loaded_by(f"from blockerlab.cli import main\nassert main({argv!r}) == 0")
         assert "blockerlab.cli" in loaded
         assert not loaded & NEVER_LOADED, (argv[0], loaded & NEVER_LOADED)
-        assert not _package_part(loaded) & excluded, (argv[0], _package_part(loaded))
+        hit = (_package_part(loaded) | loaded) & excluded
+        assert not hit, (argv, hit)
 
 
 def test_capacity_exit_code(capsys, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from blockerlab import parameters
+from blockerlab import cotree, parameters
 from blockerlab.catalogue import graph_catalogue, random_chordal, random_connected_bipartite
 from blockerlab.errors import CapacityExceededError, CertificateError
 from blockerlab.graph import (
@@ -283,22 +283,23 @@ def _one_colour_too_few(colouring):
 # read as valid.
 MUTATIONS = {
     "koenig-cover-one-short": (
-        {"bipartite_matching": _cover_one_vertex_short(bipartite_matching)},
+        {"parameters.bipartite_matching": _cover_one_vertex_short(bipartite_matching)},
         path_graph(6), "mu", {"edges": [[0, 1], [2, 3], [4, 5]]}, 3,
     ),
     "cotree-colouring-one-colour-too-few": (
-        {"proper_colouring": _one_colour_too_few(parameters.proper_colouring)},
+        {"cotree.proper_colouring": _one_colour_too_few(cotree.proper_colouring)},
         complete_graph(4), "chi", {"colouring": [1, 2, 3, 4]}, 4,
     ),
     # Sides that put the edge 0-1 inside one colour class.
     "bipartite-colouring-with-an-edge-inside-a-side": (
-        {"recognize_bipartite": lambda g: Bipartition(frozenset({0, 1}), frozenset({2, 3}))},
+        {"parameters.recognize_bipartite":
+             lambda g: Bipartition(frozenset({0, 1}), frozenset({2, 3}))},
         path_graph(4), "chi", {"colouring": [1, 2, 1, 2]}, 2,
     ),
     # An order that skips 0 and 1 leaves them outside every clique.
     "clique-cover-missing-a-vertex": (
-        {"recognize_chordal": lambda g: EliminationOrder((3, 2)),
-         "validate_elimination_order": lambda g, cert: None},
+        {"parameters.recognize_chordal": lambda g: EliminationOrder((3, 2)),
+         "parameters.validate_elimination_order": lambda g, cert: None},
         Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), "alpha", {"vertices": [0, 3]}, 2,
     ),
 }
@@ -312,8 +313,8 @@ def test_route_rejects_a_mutated_certificate(monkeypatch, name):
               "value": value, "witness": witness}
     ok, detail = verify_report(report, g, data)
     assert ok, detail
-    for attr, fake in patches.items():
-        monkeypatch.setattr(parameters, attr, fake)
+    for target, fake in patches.items():
+        monkeypatch.setattr(f"blockerlab.{target}", fake)
     with pytest.raises(CertificateError) as raised:
         certified_value(g, kind)
     ok, detail = verify_report(report, g, data)
