@@ -13,14 +13,15 @@ Two independent dynamic programmes over the cotree:
   the children's classes are aligned by size rank; at join nodes the children
   share exactly ``lambda`` colours, described by a matching between their
   smallest class indices whose value counts the cross monochromatic edges.
-  Join nodes draw child bounds only from the child's Pareto frontier: the
+  Both node kinds draw child bounds from the child's Pareto frontier: the
   finite (bounds, value) pairs that no pointwise smaller bounds tuple matches
-  in value, built once per child, tuple length and deficiency.  Bounds are
-  canonical: each is capped at the most its colour class can hold, so
-  states that admit the same colourings share one memo entry.  A memo state
-  costs about 450 to 550 bytes with its share of choices and frontiers; with
-  d = 3 a 150-vertex threshold chain needs 3,198 states (0.1 s), and with
-  d = 1 an 1100-vertex chain about 6,000.
+  in value, built once per child, tuple length and deficiency (at a union
+  node, for the child with more colours).  Bounds are canonical: each is
+  capped at the most its colour class can hold, so states that admit the
+  same colourings share one memo entry.  A memo state costs about 450 to 550
+  bytes with its share of choices and frontiers; with d = 3 a 150-vertex
+  threshold chain needs 3,198 states (0.1 s), and with d = 1 an 1100-vertex
+  chain about 6,000.
 
 Both reconstruct an optimal colouring from stored argmin choices, and they
 are cross-checked against each other and against the brute-force oracle in
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cotree import Cotree, CotreeLeaf, proper_colouring
 from .errors import CertificateError, check_capacity, configured_budget
@@ -215,12 +216,11 @@ def _suffix_min(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ascending_tuples(length: int, cap: int, caps: Optional[Sequence[int]] = None):
-    """Non-decreasing tuples with entries in [0, cap] (pointwise caps win),
-    in lexicographic order."""
+def _ascending_tuples(caps: Sequence[int]):
+    """Non-decreasing tuples with ``0 <= t[i] <= caps[i]``, in lexicographic
+    order."""
     result: list[tuple[int, ...]] = [()]
-    for i in range(length):
-        top = cap if caps is None else min(cap, caps[i])
+    for top in caps:
         result = [b + (v,) for b in result for v in range(b[-1] if b else 0, top + 1)]
     return result
 
@@ -266,14 +266,17 @@ class _DeficiencyDP:
     entry.  The memo (:meth:`_open_state`) and the reconstruction
     (:meth:`_classes`) both form their keys through :meth:`_canonical`.
 
-    A join node takes child bounds from the child's frontier: the finite
+    Both node kinds take child bounds from the child's frontier: the finite
     ``(bounds, value)`` pairs of one (child, length, delta) that no pointwise
-    smaller tuple matches in value (:meth:`_frontier`).  The cross cost
+    smaller tuple matches in value (:meth:`_frontier`).  A union node reads
+    the frontier of q, the child with more colours, and gives r what q
+    leaves of the parent's bounds (:meth:`_union_node` says why no optimum
+    is lost).  A join node reads both children's: the cross cost
     ``sum bq[i] * br[j]`` and the merged class sizes only grow with the child
     bounds, so a dominated tuple never beats the frontier tuple below it.
     Each frontier is built once per run and shared by every parent state,
-    and a pair of child tuples is dropped before its matchings are tried
-    when even their sorted union overflows the parent's bounds.  All caches
+    and at a join a pair of child tuples is dropped before its matchings are
+    tried when even their sorted union overflows the parent's bounds.  All caches
     live on the instance, and the memo is capped by the configured budget.
 
     States and reconstruction steps are generator frames run by :func:`_run`:
@@ -370,7 +373,7 @@ class _DeficiencyDP:
         values: dict[tuple[int, ...], float] = {}
         front = []
         # Lexicographic order: every tuple comes after those one step below.
-        for b in _ascending_tuples(m, self.size[node.index], self._caps(node, m, delta)):
+        for b in _ascending_tuples(self._caps(node, m, delta)):
             v = values[b] = yield node, b, delta
             if v is INF:
                 continue
@@ -391,24 +394,33 @@ class _DeficiencyDP:
         return r, q
 
     def _union_node(self, node, bounds, delta):
+        """Best split of the parent's bounds between q and r.
+
+        Classes align by size rank, largest first.  q's smallest ``off``
+        bounded slots are the ones it has beyond r's ``chi - dr``, so they
+        live in q alone; every other bound is shared by the two children,
+        and r may fill what q leaves of it.  q's bounds come from its
+        frontier, kept when they lie pointwise under the parent's bounds.
+
+        This loses no optimum.  Any split ``x`` of the shared tail gives q
+        the bounds ``suffix_min(head + x)``, and q's frontier holds a tuple
+        ``f`` no larger with the same value.  Then ``f[off:] <= x``, so ``f``
+        fits under the parent's bounds and leaves r at least as much room:
+        r's value can only fall.  And a fitting frontier tuple is itself a
+        split, whose colourings the parent's bounds admit.
+        """
         q, r = self._ordered_children(node)
         delta_gap = self.chi[q.index] - self.chi[r.index]
-        # Classes align by size rank, largest first.  q's smallest ``off``
-        # bounded slots are the ones it has beyond r's ``chi - dr``, so they
-        # live in q alone; every other bound is shared by the two children.
         off = min(len(bounds), max(delta_gap - delta, 0))
         dr = max(delta - delta_gap, 0)
-        head, tail = bounds[:off], bounds[off:]
-        size_q, size_r = self.size[q.index], self.size[r.index]
+        tail = bounds[off:]
+        size_r = self.size[r.index]
         best, best_choice = INF, None
-        caps = [min(b, size_q) for b in tail]
-        for suffix in _ascending_tuples(len(tail), size_q, caps):
-            # Both parts ascend; only the exclusive head can exceed the suffix.
-            bq = _suffix_min(head + suffix) if head else suffix
-            vq = yield q, bq, delta
-            if vq is INF:
+        front = yield from self._frontier(q, len(bounds), delta)
+        for bq, vq in front:
+            if vq >= best or any(map(int.__gt__, bq, bounds)):
                 continue
-            br = _suffix_min([min(b - x, size_r) for b, x in zip(tail, suffix)])
+            br = _suffix_min([min(b - x, size_r) for b, x in zip(tail, bq[off:])])
             vr = yield r, br, dr
             if vq + vr < best:
                 best = vq + vr

@@ -279,6 +279,67 @@ def test_deficiency_frontier_prunes_and_matches_fixed_h():
     assert dropped > 1000
 
 
+def _split_value(dp, node, bounds, delta):
+    # A union state's value by its definition: every ascending split ``x`` of
+    # the bounds that q and r share, each no larger than its bound or than
+    # q's size.  q gets its exclusive head and ``x``, made ascending by a
+    # suffix minimum, and r what is left of the shared bounds; the smallest
+    # slot may also stay empty.  Child values come from ``dp`` itself.
+    from blockerlab.monochromatic import INF
+
+    def suffix_min(seq):
+        return tuple(min(seq[i:]) for i in range(len(seq)))
+
+    if dp.chi[node.index] - delta < 1:
+        return INF, 0
+    q, r = (node.left, node.right)
+    if dp.chi[q.index] < dp.chi[r.index]:
+        q, r = r, q
+    gap = dp.chi[q.index] - dp.chi[r.index]
+    off = min(len(bounds), max(gap - delta, 0))
+    dr = max(delta - gap, 0)
+    head, tail = bounds[:off], bounds[off:]
+    splits = [()]
+    for top in tail:
+        top = min(top, dp.size[q.index])
+        splits = [x + (v,) for x in splits for v in range(x[-1] if x else 0, top + 1)]
+    best = INF
+    for x in splits:
+        vq = dp.value(q, suffix_min(head + x), delta)
+        br = suffix_min([min(b - v, dp.size[r.index]) for b, v in zip(tail, x)])
+        best = min(best, vq + dp.value(r, br, dr))
+    if bounds:
+        best = min(best, dp.value(node, bounds[1:], delta + 1))
+    return best, off
+
+
+def test_deficiency_union_states_match_every_split():
+    # Union nodes read q's bounds from its Pareto frontier.  Every union
+    # state the DP memoised must have the value that trying every split of
+    # its bounds gives, over small catalogue cographs and random cographs
+    # with few joins (so many unions, some with a wide chromatic gap).
+    from blockerlab.cotree import CotreeInner
+    from blockerlab.monochromatic import _DeficiencyDP
+
+    rng = random.Random(2811)
+    trees = [build_cotree(g) for g in graph_catalogue("cograph", 7)]
+    trees += [_random_cotree(rng, rng.randint(16, 24), 0.3) for _ in range(20)]
+    compared = with_head = 0
+    for t in trees:
+        for d in range(1, min(3, t.chi - 1) + 1):
+            dp = _DeficiencyDP(t)
+            dp.value(t.root, (), d)
+            for (index, bounds, delta), value in list(dp.memo.items()):
+                node = t.postorder[index]
+                if not isinstance(node, CotreeInner) or node.label != 0:
+                    continue
+                expected, off = _split_value(dp, node, bounds, delta)
+                assert value == expected, (index, bounds, delta)
+                compared += 1
+                with_head += off > 0
+    assert compared > 10000 and with_head > 1000
+
+
 def test_deficiency_examples():
     t = build_cotree(complete_graph(4))
     count, col = min_mono_edges_deficiency(t, 1)
@@ -498,7 +559,7 @@ def test_deficiency_memo_is_pinned(monkeypatch):
             states += len(rows)
             digest.update(repr(rows).encode())
     assert states == 64867
-    assert digest.hexdigest()[:16] == "5151682242e975f5"
+    assert digest.hexdigest()[:16] == "e3b3bd54ce1fcc5d"
 
 
 def test_deficiency_reconstruction_is_rank_aligned():
