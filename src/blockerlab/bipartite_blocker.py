@@ -25,11 +25,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional
 
+from .certificates import Bipartition, NotInClass
 from .errors import CertificateError
 from .graph import Edge, Graph, _merge, bits, to_mask, validate_edge_set
 from .oracle import BlockerQuery, OracleAnswer, layered_search
 from .parameters import bipartite_matching, koenig_pair
-from .recognizers import Bipartition, NotInClass, recognize_bipartite, validate_bipartition
+from .recognizers import recognize_bipartite, validate_bipartition
 
 # The budget counts edge sets, but the split tries up to 2^k sets of merged
 # vertices on each one, with k <= 2d on the enumeration route: work that no

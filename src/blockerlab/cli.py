@@ -24,16 +24,16 @@ Besides those three, each route loads:
   it recognises cographs (``--class cograph``, or omega or chi on a graph
   that is not bipartite);
 * ``mono``: ``report``, ``cotree``, ``monochromatic``;
-* ``oracle``: ``report``, ``oracle``, ``parameters``, ``recognizers``;
-* ``blocker``: those four and ``bipartite_blocker``;
+* ``oracle``: ``report``, ``oracle``, ``parameters``;
+* ``blocker``: those three, ``bipartite_blocker`` and ``recognizers``;
 * ``reduce``: ``report`` and ``reductions``, then ``parameters`` and
   ``recognizers`` for sat2chordal, and ``recognizers`` for mss2mono;
 * ``catalogue``: ``catalogue``, then ``isomorphism`` for the grown classes,
   ``recognizers`` for bipartite and ``cotree`` for cograph;
 * ``verify``: ``report``, and the modules of the checks it runs.
 
-One exception to the rule: ``parameters`` imports ``recognizers``, whose
-certificate types annotate its class routes, so ``oracle`` loads it unrun.
+``parameters`` and ``recognizers`` each bring ``certificates``, the records
+of class certificates, so ``parameters`` loads ``recognizers`` only to run it.
 """
 
 from __future__ import annotations

@@ -19,19 +19,9 @@ from functools import cache
 from operator import or_
 from typing import NamedTuple, Optional, Union
 
+from .certificates import Bipartition, CotreeCertificate, EliminationOrder, NotInClass
 from .errors import CertificateError, GraphFormatError, check_capacity
 from .graph import Edge, Graph, bits, is_independent, to_mask
-from .recognizers import (
-    Bipartition,
-    CotreeCertificate,
-    EliminationOrder,
-    NotInClass,
-    recognize_bipartite,
-    recognize_chordal,
-    recognize_cograph,
-    validate_bipartition,
-    validate_elimination_order,
-)
 
 ALPHA_OMEGA_VERTEX_CEILING = 40
 CHI_VERTEX_CEILING = 20
@@ -249,6 +239,8 @@ def bipartite_matching(adj: tuple[int, ...], left: int, right: int) -> tuple[dic
 
 def koenig_pair(g: Graph, cert: Bipartition) -> tuple[ParameterValue, ParameterValue]:
     """A maximum matching and a minimum vertex cover of one size (König)."""
+    from .recognizers import validate_bipartition
+
     validate_bipartition(g, cert)
     mate, cover = bipartite_matching(g.adj, to_mask(cert.left), to_mask(cert.right))
     edges = frozenset((u, v) for u, v in mate.items() if u < v)
@@ -322,6 +314,8 @@ def alpha_chordal(g: Graph, cert: EliminationOrder) -> ParameterValue:
     cliques cover the graph (Gavril 1972), so they prove the greedy set
     maximum.
     """
+    from .recognizers import validate_elimination_order
+
     validate_elimination_order(g, cert)
     chosen, cliques = [], []
     blocked = done = 0
@@ -384,6 +378,7 @@ def certified_value(g: Graph, kind: str, klass: str = "auto") -> tuple[Parameter
     route whatever ``klass`` names.  A named ``klass`` must hold even when no
     route of ``kind`` uses it, or :class:`GraphFormatError` is raised.
     """
+    from .recognizers import recognize_bipartite, recognize_chordal, recognize_cograph
 
     # Built per call, so a name that a tracer rebinds in this module is seen.
     def tau(alpha_solver):

@@ -11,37 +11,15 @@ P2+P1.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
+from .certificates import (
+    Bipartition, CotreeCertificate, EliminationOrder, MultipartiteParts, NotInClass
+)
 from .errors import CertificateError, NotACographError
 from .graph import (
     Graph, bits, components, contains_induced, disjoint_union, is_independent, path_graph, to_mask
 )
-
-
-class Bipartition(NamedTuple):
-    left: frozenset[int]
-    right: frozenset[int]
-
-
-class EliminationOrder(NamedTuple):
-    """A perfect elimination order: each vertex's later neighbours are a clique."""
-
-    order: tuple[int, ...]
-
-
-class CotreeCertificate(NamedTuple):
-    cotree: Cotree  # recognize_cograph imports cotree, which most routes never run
-
-
-class MultipartiteParts(NamedTuple):
-    parts: tuple[frozenset[int], ...]
-
-
-class NotInClass(NamedTuple):
-    reason: str
-    witness: tuple[int, ...]
-
 
 def recognize_bipartite(g: Graph) -> Union[Bipartition, NotInClass]:
     """Two-colour by BFS; on failure return an odd cycle."""

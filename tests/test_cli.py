@@ -634,24 +634,25 @@ def test_light_subcommands_import_no_solver(capsys, tmp_path, p4_file, k4_file):
     # modules by their name in the package, and the standard library's
     # fractions.
     runs = [
-        (["cotree", k4_file], SOLVER_MODULES | {"oracle", "parameters", "recognizers", "report"}),
+        (["cotree", k4_file],
+         SOLVER_MODULES | {"certificates", "oracle", "parameters", "recognizers", "report"}),
         (["catalogue", "--class", "bipartite", "--n", "4"],
          {"cotree", "oracle", "parameters", "report"}),
         (["catalogue", "--class", "chordal", "--n", "4"],
-         {"cotree", "oracle", "parameters", "recognizers", "report"}),
+         {"certificates", "cotree", "oracle", "parameters", "recognizers", "report"}),
         (["param", "--kind", "alpha", "--class", "bipartite", p4_file],
          SOLVER_MODULES | {"cotree", "oracle"}),
         # K4 is a cograph too, but the chordal route reads no cotree.
         (["param", "--kind", "alpha", "--class", "chordal", k4_file],
          SOLVER_MODULES | {"cotree", "oracle"}),
         (["mono", "--mode", "deficiency", "-d", "1", k4_file],
-         {"oracle", "parameters", "recognizers"}),
+         {"certificates", "oracle", "parameters", "recognizers"}),
         (["oracle", "--op", "contract", "--param", "alpha", "-k", "2", "-d", "1", p4_file],
-         SOLVER_MODULES | {"cotree"}),
+         SOLVER_MODULES | {"cotree", "recognizers"}),
         (["verify", str(report), p4_file], SOLVER_MODULES),
         (["blocker", "-k", "2", "-d", "1", p4_file], {"cotree"}),
         (["reduce", "vc2cb", "-k", "2", str(sources["vc2cb"])],
-         {"cotree", "monochromatic", "parameters", "recognizers", "fractions"}),
+         {"certificates", "cotree", "monochromatic", "parameters", "recognizers", "fractions"}),
         (["reduce", "sat2chordal", str(sources["sat2chordal"])],
          {"cotree", "monochromatic", "fractions"}),
         (["reduce", "mss2mono", str(sources["mss2mono"])],

@@ -292,14 +292,14 @@ MUTATIONS = {
     ),
     # Sides that put the edge 0-1 inside one colour class.
     "bipartite-colouring-with-an-edge-inside-a-side": (
-        {"parameters.recognize_bipartite":
+        {"recognizers.recognize_bipartite":
              lambda g: Bipartition(frozenset({0, 1}), frozenset({2, 3}))},
         path_graph(4), "chi", {"colouring": [1, 2, 1, 2]}, 2,
     ),
     # An order that skips 0 and 1 leaves them outside every clique.
     "clique-cover-missing-a-vertex": (
-        {"parameters.recognize_chordal": lambda g: EliminationOrder((3, 2)),
-         "parameters.validate_elimination_order": lambda g, cert: None},
+        {"recognizers.recognize_chordal": lambda g: EliminationOrder((3, 2)),
+         "recognizers.validate_elimination_order": lambda g, cert: None},
         Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), "alpha", {"vertices": [0, 3]}, 2,
     ),
 }
