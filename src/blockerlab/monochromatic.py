@@ -276,8 +276,9 @@ class _DeficiencyDP:
     bounds, so a dominated tuple never beats the frontier tuple below it.
     Each frontier is built once per run and shared by every parent state,
     and at a join a pair of child tuples is dropped before its matchings are
-    tried when even their sorted union overflows the parent's bounds.  All caches
-    live on the instance, and the memo is capped by the configured budget.
+    tried when even their sorted union overflows the parent's bounds.  All
+    caches live on the instance, and the memo is capped by the configured
+    budget.
 
     States and reconstruction steps are generator frames run by :func:`_run`:
     a frame yields ``(node, bounds, delta)`` where it needs that state's
