@@ -292,7 +292,7 @@ def _split_value(dp, node, bounds, delta):
 
     if dp.chi[node.index] - delta < 1:
         return INF, 0
-    q, r = (node.left, node.right)
+    q, r = node.left, node.right
     if dp.chi[q.index] < dp.chi[r.index]:
         q, r = r, q
     gap = dp.chi[q.index] - dp.chi[r.index]
