@@ -38,14 +38,12 @@ class SatInstance(NamedTuple("SatInstance", [
             raise GadgetPreconditionError("need at least one variable")
         if self.k < 0:
             raise GadgetPreconditionError("budget k must be non-negative")
-        seen = set()
         for x, y in self.clauses:
             if x == y:
                 raise GadgetPreconditionError("clauses must use two distinct variables")
             if not (0 <= x < self.variable_count and 0 <= y < self.variable_count):
                 raise GadgetPreconditionError("clause variable out of range")
-            seen.add((min(x, y), max(x, y)))
-        if not seen:
+        if not self.clauses:
             raise GadgetPreconditionError("need at least one clause")
         return self
 
@@ -84,22 +82,44 @@ def _payload_lines(text: str) -> list[str]:
     return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
+def _ints(line: str, count: int, what: str) -> list[int]:
+    """The ``count`` integer fields of ``line``, the file's ``what``."""
+    fields = line.split()
+    try:
+        if len(fields) == count:
+            return [int(x) for x in fields]
+    except ValueError:
+        pass
+    raise GraphFormatError(f"expected {count} integers in {what} {line!r}")
+
+
 # A payload line of exactly two whitespace-separated fields: ``\s`` is the
 # whitespace that ``str.split`` splits on.
-_EDGE_LINE = re.compile(r"\S+\s+\S+")
+_PAIR_LINE = re.compile(r"\S+\s+\S+")
+
+
+def _pairs(body: list[str], what: str) -> tuple[list[int], list[int]]:
+    """Two lists: the first and the second integer of each ``what`` line of ``body``.
+
+    One bulk pass: every line against the two-field pattern, then one ``int``
+    map over the joined body.  Only when that fails is the body walked again:
+    some line is not two integers, and :func:`_ints` raises at the first.
+    """
+    if all(map(_PAIR_LINE.fullmatch, body)):
+        try:
+            ends = list(map(int, " ".join(body).split()))
+            return ends[0::2], ends[1::2]
+        except ValueError:
+            pass
+    for line in body:
+        _ints(line, 2, what)
 
 
 def parse_graph(text: str) -> Graph:
     lines = _payload_lines(text)
     if not lines:
         raise GraphFormatError("empty graph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise GraphFormatError(f"expected header 'n m', got {' '.join(header)!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad header: {exc}") from exc
+    n, m = _ints(lines[0], 2, "header")
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative")
     if n > MAX_VERTICES:
@@ -107,41 +127,18 @@ def parse_graph(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"header promises {m} edges, file has {len(body)}")
-    # One bulk pass: ``Graph`` checks ranges and self-loops, the edge count
-    # catches duplicates.  A bad file is re-read line by line to name its
-    # first bad line.
+    firsts, seconds = _pairs(body, "edge line")
     try:
-        if all(map(_EDGE_LINE.fullmatch, body)):
-            ends = list(map(int, " ".join(body).split()))
-            g = Graph(n, zip(ends[0::2], ends[1::2]))
-            if g.edge_count() == m:
-                return g
-    except (ValueError, InvalidEdgeError, InvalidVertexError):
-        pass
-    return Graph(n, _checked_edges(body, n))
-
-
-def _checked_edges(body: list[str], n: int) -> list[tuple[int, int]]:
-    edges = []
-    seen = set()
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {' '.join(parts)!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"bad edge line: {exc}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge {u} {v} out of range for n={n}")
-        if u == v:
-            raise GraphFormatError(f"self-loop at {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append(key)
-    return edges
+        g = Graph(n, zip(firsts, seconds))
+    except (InvalidEdgeError, InvalidVertexError) as exc:
+        raise GraphFormatError(str(exc)) from exc
+    if g.edge_count() != m:  # an edge repeats: name its second occurrence
+        seen = set()
+        for u, v in zip(firsts, seconds):
+            if (key := (min(u, v), max(u, v))) in seen:
+                raise GraphFormatError(f"duplicate edge {u} {v}")
+            seen.add(key)
+    return g
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
@@ -157,28 +154,14 @@ def parse_sat_instance(text: str) -> SatInstance:
     lines = _payload_lines(text)
     if not lines:
         raise GraphFormatError("empty instance file")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "p" or header[1] != "wp2sat":
-        raise GraphFormatError("expected header 'p wp2sat <vars> <clauses> <k>'")
-    try:
-        nvars, nclauses, k = int(header[2]), int(header[3]), int(header[4])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad header: {exc}") from exc
+    header = lines[0].split(maxsplit=2)
+    if header[:2] != ["p", "wp2sat"] or len(header) != 3:
+        raise GraphFormatError(f"expected 'p wp2sat <vars> <clauses> <k>', got {lines[0]!r}")
+    nvars, nclauses, k = _ints(header[2], 3, "'p wp2sat' header")
     body = lines[1:]
     if len(body) != nclauses:
         raise GraphFormatError(f"header promises {nclauses} clauses, got {len(body)}")
-    clauses = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad clause line {' '.join(parts)!r}")
-        try:
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"bad clause line: {exc}") from exc
-        if not (1 <= x <= nvars and 1 <= y <= nvars):
-            raise GraphFormatError(f"clause variable out of range: {x} {y}")
-        clauses.append((x - 1, y - 1))
+    clauses = [(x - 1, y - 1) for x, y in zip(*_pairs(body, "clause line"))]
     try:
         return SatInstance.make(nvars, clauses, k)
     except GadgetPreconditionError as exc:
@@ -189,16 +172,8 @@ def parse_mss_instance(text: str) -> MssInstance:
     lines = _payload_lines(text)
     if len(lines) != 2:
         raise GraphFormatError("expected a header line and one tuple line")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise GraphFormatError("expected header '<ell> <h> <J>'")
-    try:
-        ell, h, J = (int(x) for x in header)
-        a = tuple(int(x) for x in lines[1].split())
-    except ValueError as exc:
-        raise GraphFormatError(f"bad instance: {exc}") from exc
-    if len(a) != ell:
-        raise GraphFormatError(f"header promises {ell} entries, got {len(a)}")
+    ell, h, J = _ints(lines[0], 3, "header")
+    a = tuple(_ints(lines[1], ell, "tuple line"))
     try:
         return MssInstance(ell, a, h, J)
     except GadgetPreconditionError as exc:

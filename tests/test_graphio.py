@@ -32,22 +32,37 @@ def test_graph_roundtrip(n, picks):
     assert parse_graph(format_graph(g)) == g
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "nonsense",
-        "2\n",
-        "2 1\n",  # missing edge line
-        "2 1\n0 0\n",  # self loop
-        "2 1\n0 5\n",  # out of range
-        "2 2\n0 1\n0 1\n",  # duplicate
-        "2 1\n0 1\n1 0\n",  # too many lines
-    ],
-)
-def test_parse_rejects_malformed(text):
-    with pytest.raises(GraphFormatError):
+# Each rejected file, and a fragment its message must contain: the bad line's
+# text, the header, the out-of-range edge, the self-loop vertex or the
+# duplicate pair.
+MALFORMED = [
+    ("", "empty graph file"),
+    ("nonsense", "header 'nonsense'"),
+    ("2\n", "header '2'"),
+    ("2 1\n", "promises 1 edges, file has 0"),  # missing edge line
+    ("2 1\n0 0\n", "self-loop at vertex 0"),
+    ("2 1\n0 5\n", "edge 0-5 out of range for n=2"),
+    ("2 2\n0 1\n0 1\n", "duplicate edge 0 1"),
+    ("2 1\n0 1\n1 0\n", "promises 1 edges, file has 2"),  # too many lines
+    ("2 1\n0 x\n", "edge line '0 x'"),
+    ("3 1\n0 1 2\n", "edge line '0 1 2'"),
+    ("3 2\n0 1\n2 1\n1 0\n", "promises 2 edges, file has 3"),
+    ("3 3\n0 1\n2 1\n1 0\n", "duplicate edge 1 0"),
+]
+
+
+@pytest.mark.parametrize("text, fragment", MALFORMED, ids=[text for text, _ in MALFORMED])
+def test_parse_rejects_malformed(text, fragment):
+    with pytest.raises(GraphFormatError) as err:
         parse_graph(text)
+    assert fragment in str(err.value)
+
+
+def test_parse_names_a_bad_line_after_10000_good_ones():
+    body = "".join(f"{i} {i + 1}\n" for i in range(10_000))
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(f"10001 10001\n{body}7 x7\n")
+    assert "'7 x7'" in str(err.value)
 
 
 def test_parse_sat():
@@ -62,18 +77,21 @@ def test_parse_sat_deduplicates():
     assert inst.clauses == ((0, 1),)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p wp2sat 2 1 1\n1 1\n",  # repeated variable
-        "p wp2sat 2 0 1\n",  # no clauses
-        "p wp2sat 2 1 1\n1 9\n",  # variable out of range
-        "q wp2sat 2 1 1\n1 2\n",
-    ],
-)
-def test_parse_sat_rejects(text):
-    with pytest.raises(GraphFormatError):
+SAT_REJECTED = [
+    ("p wp2sat 2 1 1\n1 1\n", "clauses must use two distinct variables"),
+    ("p wp2sat 2 0 1\n", "need at least one clause"),
+    ("p wp2sat 2 1 1\n1 9\n", "clause variable out of range"),
+    ("q wp2sat 2 1 1\n1 2\n", "got 'q wp2sat 2 1 1'"),
+    ("p wp2sat 2 x 1\n1 2\n", "header '2 x 1'"),
+    ("p wp2sat 2 1 1\n1 2.0\n", "clause line '1 2.0'"),
+]
+
+
+@pytest.mark.parametrize("text, fragment", SAT_REJECTED, ids=[text for text, _ in SAT_REJECTED])
+def test_parse_sat_rejects(text, fragment):
+    with pytest.raises(GraphFormatError) as err:
         parse_sat_instance(text)
+    assert fragment in str(err.value)
 
 
 def test_parse_mss():
@@ -81,7 +99,17 @@ def test_parse_mss():
     assert (inst.ell, inst.a, inst.h, inst.J) == (3, (1, 2, 3), 2, 18)
 
 
-@pytest.mark.parametrize("text", ["", "3 2 18\n1 2\n", "0 2 18\n\n", "2 2 9\n1 0\n"])
-def test_parse_mss_rejects(text):
-    with pytest.raises(GraphFormatError):
+MSS_REJECTED = [
+    ("", "expected a header line and one tuple line"),
+    ("3 2 18\n1 2\n", "expected 3 integers in tuple line '1 2'"),
+    ("0 2 18\n\n", "expected a header line and one tuple line"),
+    ("2 2 9\n1 0\n", "all entries must be positive"),
+    ("3 2\n1 2 3\n", "header '3 2'"),
+]
+
+
+@pytest.mark.parametrize("text, fragment", MSS_REJECTED, ids=[text for text, _ in MSS_REJECTED])
+def test_parse_mss_rejects(text, fragment):
+    with pytest.raises(GraphFormatError) as err:
         parse_mss_instance(text)
+    assert fragment in str(err.value)
