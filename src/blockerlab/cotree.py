@@ -6,9 +6,10 @@ colouring dynamic programmes run over this structure, so the tree keeps a
 postorder index per node together with subtree sizes and chromatic numbers.
 It keeps no per-node vertex sets: a 4000-vertex chain's would hold 65 MB.
 :func:`fold` is the one bottom-up pass (a leaf value, and one combine per
-label); the statistics, :func:`realize_cotree`, :func:`proper_colouring` and
-the cograph clique are folds, and a caller that needs a subtree's vertices
-folds their masks.
+label); the statistics, :func:`realize_cotree` and the cograph clique are
+folds, and a caller that needs a subtree's vertices folds their masks.
+:func:`proper_colouring` hands out colours top-down instead, so it keeps no
+per-node colour classes.
 
 :func:`build_cotree` costs O(n^2) big-integer mask operations, and nothing in
 this module recurses, so deep trees (threshold chains of thousands of
@@ -17,7 +18,6 @@ vertices) build, print and parse under the default recursion limit.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from operator import add, or_
 from typing import Callable, NamedTuple, Union
 
@@ -64,8 +64,8 @@ class NodeStats(NamedTuple):
 class Cotree:
     """A rooted binary cotree with postorder-indexed nodes.
 
-    Every inner node has exactly two children.  ``leaves[i]`` is the leaf
-    carrying vertex ``i``; the leaf set must be exactly ``0 .. n-1``.
+    Every inner node has exactly two children, and the leaves carry the
+    vertices ``0 .. n-1``, each exactly once.
     """
 
     def __init__(self, root: CotreeNode):
@@ -275,18 +275,23 @@ def parse_cotree_sexpr(text: str) -> Cotree:
 
 
 def proper_colouring(t: Cotree) -> tuple[int, ...]:
-    """A proper colouring of the realised cograph using exactly chi colours."""
-    # A union merges the children's classes rank by rank; a join keeps both.
-    root_classes = fold(
-        t,
-        lambda v: [(v,)],
-        lambda left, right: [a + b for a, b in zip_longest(left, right, fillvalue=())],
-        add,
-    )[-1]
+    """A proper colouring of the realised cograph using exactly chi colours.
+
+    Colours are handed out top-down: both children of a union start at their
+    parent's first colour, and a join's right child starts after the
+    ``chi`` colours of its left child.
+    """
+    chi = t.stats().chi
     colouring = [0] * t.n
-    if len(root_classes) != t.chi:
-        raise CertificateError(f"colouring uses {len(root_classes)} colours, chi is {t.chi}")
-    for colour, group in enumerate(root_classes, start=1):
-        for v in group:
-            colouring[v] = colour
+    stack: list = [(t.root, 1)]
+    while stack:
+        node, first = stack.pop()
+        if isinstance(node, CotreeLeaf):
+            colouring[node.vertex] = first
+        else:
+            stack.append((node.left, first))
+            stack.append((node.right, first + chi[node.left.index] if node.label else first))
+    used = len(set(colouring))
+    if used != t.chi:
+        raise CertificateError(f"colouring uses {used} colours, chi is {t.chi}")
     return tuple(colouring)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -104,6 +105,21 @@ def test_proper_colouring_uses_chi_colours():
         col = proper_colouring(t)
         assert all(col[u] != col[v] for u, v in g.edges())
         assert len(set(col)) == t.chi
+
+
+def test_proper_colouring_memory_is_linear():
+    # Colour classes kept at every node of this 2000-leaf union chain would
+    # take about 16 MB; a colour per vertex and a stack of pending nodes take
+    # tens of kB.
+    t = build_cotree(Graph(2000))
+    tracemalloc.start()
+    try:
+        col = proper_colouring(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col == (1,) * 2000
+    assert peak < 1_000_000
 
 
 def test_sexpr_roundtrip():
