@@ -9,8 +9,9 @@ error, so a crash never reads as a "no".  Reports follow
 one path, :func:`_answer`; its ``wall_time_s`` times the whole handler
 (``mono``'s cotree included, and the loading of the modules the handler
 imports), and ``report.WITNESS_KEYS`` names every witness key.
-``INPUT_PARSERS`` reads the input file of a ``reduce`` construction, for the
-report and for ``verify`` alike; every other input file is a graph.
+Every input file is read through :func:`_read_input`: ``INPUT_PARSERS``
+names the parser of a ``reduce`` construction's file, for the report and for
+``verify`` alike, and every other input file is a graph.
 
 Each process runs one subcommand and most of its time is start-up, so this
 module loads only ``errors`` and ``graphio`` (with ``graph``) from the
@@ -47,7 +48,7 @@ from pathlib import Path
 from . import __version__
 from .errors import BlockerlabError, CapacityExceededError, GraphFormatError
 from . import graphio
-from .graphio import format_graph, parse_graph
+from .graphio import format_graph
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -163,7 +164,7 @@ def _mono(args, g):
 def _cmd_cotree(args) -> int:
     from .cotree import build_cotree, cotree_sexpr
 
-    print(cotree_sexpr(build_cotree(parse_graph(Path(args.graphfile).read_bytes().decode()))))
+    print(cotree_sexpr(build_cotree(_read_input(args.graphfile)[1])))
     return EXIT_YES
 
 

@@ -4,8 +4,9 @@ Vertices are always ``0 .. n-1``.  Adjacency is stored as one int bitmask per
 vertex, which keeps the exhaustive solvers (subset enumeration, branch and
 bound) fast without external dependencies.  Graphs are immutable after
 construction and safe to share between threads; every operation returns a new
-graph together with whatever vertex map is needed to translate witnesses back
-to the input.
+graph.  Contraction and vertex deletion also return the vertex map that
+translates witnesses back to the input; edge deletion keeps the vertices, so
+it returns the graph alone.
 
 Edges are normalised ``(u, v)`` tuples with ``u < v``.
 """
