@@ -609,3 +609,31 @@ def test_deficiency_outputs_are_pinned():
             queries += 1
     assert queries == 1380
     assert digest.hexdigest()[:16] == "d6c2a4a9f7607635"
+
+
+def test_fixed_h_outputs_are_pinned():
+    # Count and colouring of every fixed-h query over the cograph catalogue
+    # up to 8 vertices (1 <= h < chi), and over 40 seeded random cographs of
+    # 16 to 24 vertices with chi 4 to 6 (h = chi - d for d <= 3).  Pruning
+    # the tables must keep every answer, colouring included.
+    digest = hashlib.sha256()
+    queries = 0
+    for g in graph_catalogue("cograph", 8):
+        t = build_cotree(g)
+        for h in range(1, t.chi):
+            digest.update(repr((h,) + min_mono_edges_fixed_h(t, h)).encode())
+            queries += 1
+    assert queries == 1275
+    rng = random.Random(2410)
+    trees = []
+    while len(trees) < 40:
+        t = _random_cotree(rng, rng.randint(16, 24), 0.4)
+        if 4 <= t.chi <= 6:
+            trees.append(t)
+    for t in trees:
+        for d in (1, 2, 3):
+            h = t.chi - d
+            digest.update(repr((h,) + min_mono_edges_fixed_h(t, h)).encode())
+            queries += 1
+    assert queries == 1395
+    assert digest.hexdigest()[:16] == "ce51e384dbca6be6"
