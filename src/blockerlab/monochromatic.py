@@ -6,7 +6,10 @@ Two independent dynamic programmes over the cotree:
   vector of an h-colouring sorted in descending order (relabelling colours
   changes no count).  Inner nodes enumerate every distinct alignment of the
   two children's classes; size-rank alignment (Property 1) is not used, so
-  this DP checks the other one independently;
+  this DP checks the other one independently.  Its tables are pruned under
+  the count of one greedy h-colouring (:func:`_merged_colouring`): an entry
+  whose cost, plus the least its completion must still add, passes that
+  count cannot lie under an optimum, and dropping it changes no answer;
 * :func:`min_mono_edges_deficiency` answers the "chi minus d colours"
   question directly.  Its state is an ascending tuple of upper bounds on the
   smallest colour classes plus a colour-deficiency budget.  At union nodes
@@ -33,11 +36,12 @@ to the colour budget; :func:`monochromatic_edge_set` converts.
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from operator import add, mul
 from typing import Sequence
 
-from .cotree import Cotree, CotreeLeaf, proper_colouring
+from .cotree import Cotree, CotreeLeaf, fold, proper_colouring
 from .errors import CertificateError, check_capacity, configured_budget
 from .graph import Colouring, Edge, Graph, bits, to_mask
 
@@ -105,6 +109,25 @@ def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
     product of the two aligned vectors.  Size-rank alignment (Property 1) is
     deliberately not assumed, so this DP stays an independent check of
     :func:`min_mono_edges_deficiency`.
+
+    The tables are pruned under one upper bound ``U``, the count of the
+    h-colouring :func:`_merged_colouring` builds, and the pruning changes no
+    answer.  ``joined[node]`` counts the vertices outside the subtree that
+    are joined to all of it (the far sides of its join ancestors).  Each of
+    them shares its colour with a class of at least ``key[-1]`` subtree
+    vertices, so every colouring that extends an entry costs at least
+    ``cost + joined[node] * key[-1]``, and a candidate above ``U`` is never
+    inserted.  Why the answer stays: a key's cheapest candidate costs at
+    least each child entry plus that child's own term, because a parent's
+    classes are no smaller than a child's and, at a join, the dot product is
+    at least the child's smallest class times the other child's size.  So
+    when a key's least cost passes the test, the child entries of its first
+    cheapest candidate pass too, and by induction from the leaves every kept
+    key keeps the entry of the unpruned table: the candidates left are a
+    subsequence of the unpruned ones, and the first cheapest is among them.
+    The optimum is at most ``U`` and ``joined`` is 0 at the root, so the
+    root keeps the optimal key, and count and colouring are bit-identical to
+    the unpruned DP's.  The cells budget still counts the unpruned tables.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
@@ -117,6 +140,14 @@ def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
     )
     check_capacity(cells, "table cells")
 
+    bound = _merged_colouring(t, h)[0]
+    joined = [0] * len(t.postorder)
+    for node in reversed(t.postorder):
+        if not isinstance(node, CotreeLeaf):
+            q, r = node.left, node.right
+            joined[q.index] = joined[node.index] + node.label * stats.size[r.index]
+            joined[r.index] = joined[node.index] + node.label * stats.size[q.index]
+
     # tables[i][key] = (cost, left key, right key, arrangement) where the
     # right key's class arrange[j] shares a colour with the left key's class j.
     tables: list[dict[tuple[int, ...], tuple]] = [{} for _ in t.postorder]
@@ -127,6 +158,7 @@ def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
             table[(1,) + (0,) * (h - 1)] = (0, None, None, None)
             continue
         join = node.label == 1
+        outside = joined[node.index]
         right = []
         for ar, (vr, *_) in sorted(tables[node.right.index].items()):
             if ar not in arrangements:
@@ -135,9 +167,17 @@ def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
         for aq, (vq, *_) in sorted(tables[node.left.index].items()):
             for ar, vr, options in right:
                 base = vq + vr
+                # The two tests on ``base`` and ``cost`` are the key's test
+                # made early, where the cost alone already fails it.
+                if base > bound:
+                    continue
                 for arranged, arrange in options:
                     cost = base + sum(map(mul, aq, arranged)) if join else base
+                    if cost > bound:
+                        continue
                     key = tuple(sorted(map(add, aq, arranged), reverse=True))
+                    if cost + outside * key[-1] > bound:
+                        continue
                     cur = table.get(key)
                     if cur is None or cost < cur[0]:
                         table[key] = (cost, aq, ar, arrange)
@@ -168,6 +208,60 @@ def min_mono_edges_fixed_h(t: Cotree, h: int) -> tuple[int, Colouring]:
         stack.append((node.left, aq, tuple(left_colours)))
         stack.append((node.right, ar, tuple(right_colours)))
     return best, tuple(colouring)
+
+
+def _merged_colouring(t: Cotree, h: int) -> tuple[int, Colouring]:
+    """An h-colouring of the cograph and its monochromatic count.
+
+    Starting from :func:`proper_colouring`, the two colour classes with the
+    fewest edges between them (the least such pair of colours on ties) are
+    merged, into the smaller colour, until ``h`` classes are left.  A join
+    node's two sides meet across every pair of vertices, so the edges
+    between two classes are folded over the join nodes from each side's
+    colour counts, and no graph is built.  A heap of ``(edges, a, b)``
+    entries finds each pair; an entry whose count has since grown, or whose
+    class is merged away, is skipped when it comes up.
+    """
+    colouring = proper_colouring(t)
+    chi = t.chi
+    if h >= chi:
+        return 0, colouring
+    between = [[0] * (chi + 1) for _ in range(chi + 1)]
+
+    def merge(cq: dict, cr: dict) -> dict:
+        for b, y in cr.items():
+            cq[b] = cq.get(b, 0) + y
+        return cq
+
+    def join(cq: dict, cr: dict) -> dict:
+        for a, x in cq.items():
+            row = between[a]
+            for b, y in cr.items():
+                row[b] += x * y
+                between[b][a] += x * y
+        return merge(cq, cr)
+
+    # A child's counts become its parent's, so one dict per leaf is all.
+    fold(t, lambda v: {colouring[v]: 1}, merge, join)
+    heap = [(between[a][b], a, b) for a, b in combinations(range(1, chi + 1), 2)]
+    heapify(heap)
+    # into[c] is the colour that colour c has been merged into.
+    into = list(range(chi + 1))
+    live = set(range(1, chi + 1))
+    count = 0
+    while len(live) > h:
+        edges, a, b = heappop(heap)
+        if a not in live or b not in live or between[a][b] != edges:
+            continue
+        count += edges
+        live.remove(b)
+        into = [a if x == b else x for x in into]
+        for c in live:
+            if c != a and between[b][c]:
+                between[a][c] = between[c][a] = between[a][c] + between[b][c]
+                heappush(heap, (between[a][c], min(a, c), max(a, c)))
+    colour = {a: i for i, a in enumerate(sorted(live), start=1)}
+    return count, tuple(colour[into[c]] for c in colouring)
 
 
 def _arrangements(key: tuple[int, ...]):

@@ -18,6 +18,7 @@ from blockerlab.graph import (
 from blockerlab.errors import BUDGET_ENV_VAR, CapacityExceededError
 from blockerlab.monochromatic import (
     _merge,
+    _merged_colouring,
     count_monochromatic_edges,
     has_property_one,
     min_mono_edges_deficiency,
@@ -163,6 +164,23 @@ def test_fixed_h_four_colours_against_brute():
         assert count_monochromatic_edges(g, col) == count
         assert set(col) <= {1, 2, 3, 4}
         checked += 1
+
+
+def test_merged_colouring_bounds_the_optimum():
+    # The fixed-h DP prunes under this bound, so it must be the count of a
+    # real h-colouring, and never below the optimum.
+    from blockerlab.cotree import realize_cotree
+
+    queries = 0
+    for t in map(build_cotree, graph_catalogue("cograph", 7)):
+        g = realize_cotree(t)
+        for h in range(1, t.chi):
+            bound, col = _merged_colouring(t, h)
+            assert len(col) == g.n and set(col) <= set(range(1, h + 1))
+            assert count_monochromatic_edges(g, col) == bound
+            assert bound >= brute_min_mono(g, h)[0]
+            queries += 1
+    assert queries == 396
 
 
 def _threshold_chain(n):
