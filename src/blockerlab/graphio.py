@@ -161,7 +161,15 @@ def parse_sat_instance(text: str) -> SatInstance:
     body = lines[1:]
     if len(body) != nclauses:
         raise GraphFormatError(f"header promises {nclauses} clauses, got {len(body)}")
-    clauses = [(x - 1, y - 1) for x, y in zip(*_pairs(body, "clause line"))]
+    firsts, seconds = _pairs(body, "clause line")
+    # SatInstance holds 0-based clauses, so the file's lines are checked here,
+    # where a complaint can quote them.
+    for line, x, y in zip(body, firsts, seconds):
+        if not (0 < x <= nvars and 0 < y <= nvars):
+            raise GraphFormatError(f"clause variable out of range: {line!r}")
+        if x == y:
+            raise GraphFormatError(f"clauses must use two distinct variables: {line!r}")
+    clauses = [(x - 1, y - 1) for x, y in zip(firsts, seconds)]
     try:
         return SatInstance.make(nvars, clauses, k)
     except GadgetPreconditionError as exc:

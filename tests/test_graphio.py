@@ -78,9 +78,9 @@ def test_parse_sat_deduplicates():
 
 
 SAT_REJECTED = [
-    ("p wp2sat 2 1 1\n1 1\n", "clauses must use two distinct variables"),
+    ("p wp2sat 2 1 1\n1 1\n", "clauses must use two distinct variables: '1 1'"),
     ("p wp2sat 2 0 1\n", "need at least one clause"),
-    ("p wp2sat 2 1 1\n1 9\n", "clause variable out of range"),
+    ("p wp2sat 2 1 1\n1 9\n", "clause variable out of range: '1 9'"),
     ("q wp2sat 2 1 1\n1 2\n", "got 'q wp2sat 2 1 1'"),
     ("p wp2sat 2 x 1\n1 2\n", "header '2 x 1'"),
     ("p wp2sat 2 1 1\n1 2.0\n", "clause line '1 2.0'"),
