@@ -65,7 +65,8 @@ class Cotree:
     """A rooted binary cotree with postorder-indexed nodes.
 
     Every inner node has exactly two children, and the leaves carry the
-    vertices ``0 .. n-1``, each exactly once.
+    vertices ``0 .. n-1``, each exactly once.  A node belongs to one tree,
+    and a refused construction writes no node's index.
     """
 
     def __init__(self, root: CotreeNode):
@@ -75,17 +76,21 @@ class Cotree:
         stack = [(root, False)]
         while stack:
             node, done = stack.pop()
-            if done or isinstance(node, CotreeLeaf):
-                node.index = len(self.postorder)
+            if done:
                 self.postorder.append(node)
-                if isinstance(node, CotreeLeaf):
-                    vertices.append(node.vertex)
+            elif node.index != -1:
+                raise ValueError("a cotree node belongs to one tree only")
+            elif isinstance(node, CotreeLeaf):
+                self.postorder.append(node)
+                vertices.append(node.vertex)
             else:
                 stack.append((node, True))
                 stack.append((node.right, False))
                 stack.append((node.left, False))
         if sorted(vertices) != list(range(len(vertices))):
             raise ValueError("cotree leaves must carry vertices 0..n-1 exactly once")
+        for index, node in enumerate(self.postorder):
+            node.index = index
         self.n = len(vertices)
         sizes = fold(self, lambda v: 1, add, add)
         self._stats = NodeStats(size=tuple(sizes), chi=tuple(fold(self, lambda v: 1, max, add)))

@@ -177,11 +177,6 @@ def validate_vertex_set(g: Graph, u: Iterable[int]) -> frozenset[int]:
     return out
 
 
-def restriction(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
-    """The spanning subgraph of ``g`` whose edge set is exactly ``s``."""
-    return Graph(g.n, validate_edge_set(g, s))
-
-
 def contract_edges(
     g: Graph, s: Iterable[tuple[int, int]]
 ) -> tuple[Graph, tuple[int, ...]]:
@@ -253,25 +248,12 @@ def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
     return _from_masks(adj)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by ``vertices`` plus the old->new map.
-
-    New indices follow the sorted order of the kept vertices.
-    """
-    return _induced(g.adj, to_mask(validate_vertex_set(g, vertices)))
-
-
 def _induced(adj: Sequence[int], inside: int) -> tuple[Graph, dict[int, int]]:
     """The graph the masks ``adj`` induce on ``inside``, renumbered in
     order, and the old->new map of the kept vertices."""
     keep = list(bits(inside))
     remap = {old: new for new, old in enumerate(keep)}
     return _from_masks([_image(adj[old] & inside, remap) for old in keep]), remap
-
-
-def is_forest(g: Graph) -> bool:
-    """True iff the graph has no cycle."""
-    return g.edge_count() == g.n - len(g.connected_components())
 
 
 def contains_induced(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
@@ -342,20 +324,6 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     return _from_masks(adj)
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return complete_multipartite_graph((a, b))
-
-
-def star_graph(leaves: int) -> Graph:
-    return complete_bipartite_graph(1, leaves)
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)
-
-
-def graph_join(g: Graph, h: Graph) -> Graph:
-    edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
-    edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
     return Graph(g.n + h.n, edges)

@@ -15,17 +15,10 @@ import pytest
 from blockerlab.bipartite_blocker import solve_bipartite_contraction_blocker
 from blockerlab.catalogue import graph_catalogue, random_connected_bipartite, random_graph
 from blockerlab.cotree import build_cotree
-from blockerlab.graph import (
-    Graph,
-    contract_edges,
-    delete_vertices,
-    is_forest,
-    restriction,
-)
+from blockerlab.graph import Graph, contract_edges, delete_vertices
 from blockerlab.graphio import format_graph
 from blockerlab.monochromatic import (
     count_monochromatic_edges,
-    has_property_one,
     min_mono_edges_deficiency,
     min_mono_edges_fixed_h,
     monochromatic_edge_set,
@@ -63,6 +56,7 @@ from blockerlab.reductions import (
     build_vc_gadget,
 )
 from blockerlab.report import digest_bytes, edges_payload, verify_report, vertices_payload
+from helpers import forest, has_property_one
 
 
 def _announce(number, name):
@@ -127,7 +121,7 @@ def test_criterion_02_tree_guarantee():
             matching = mu_bipartite(g, cert).witness
             tree = build_contraction_tree(g, matching, d)
             assert len(tree) in (2 * d, 2 * d + 1)
-            assert is_forest(restriction(g, tree))
+            assert forest(g, tree)
             assert alpha_exact(contract_edges(g, tree)[0]).value <= alpha - d
             touched = {v for e in tree for v in e}
             rest, _ = delete_vertices(g, touched)
@@ -369,7 +363,7 @@ def test_criterion_09_minimal_critical_forest():
                     # Criticality is preserved under supersets, so checking
                     # the one-edge-smaller subsets decides minimality.
                     if all(fs - {e} not in prev_critical for e in fs):
-                        assert is_forest(restriction(g, s))
+                        assert forest(g, s)
                 else:
                     all_critical = False
             prev_critical = current

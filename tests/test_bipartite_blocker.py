@@ -15,17 +15,16 @@ from blockerlab.catalogue import graph_catalogue, random_connected_bipartite
 from blockerlab.errors import CertificateError
 from blockerlab.graph import (
     Graph,
-    complete_bipartite_graph,
+    complete_multipartite_graph,
     contract_edges,
     cycle_graph,
     delete_vertices,
-    is_forest,
     path_graph,
-    restriction,
 )
 from blockerlab.oracle import BlockerQuery, brute_blocker, min_critical_size
 from blockerlab.parameters import alpha_exact, mu_bipartite
 from blockerlab.recognizers import recognize_bipartite
+from helpers import forest
 
 
 def test_tree_trace_on_p4():
@@ -41,17 +40,17 @@ def test_tree_trace_on_c4():
     m = mu_bipartite(g, recognize_bipartite(g)).witness
     tree = build_contraction_tree(g, m, 1)
     assert len(tree) == 3
-    assert is_forest(restriction(g, tree))
-    assert restriction(g, tree).connected_components()[0] == [0, 1, 2, 3]
+    assert forest(g, tree)
+    assert Graph(g.n, tree).connected_components()[0] == [0, 1, 2, 3]
 
 
 def test_tree_on_k23():
-    g = complete_bipartite_graph(2, 3)
+    g = complete_multipartite_graph((2, 3))
     m = mu_bipartite(g, recognize_bipartite(g)).witness
     assert len(m) == 2
     tree = build_contraction_tree(g, m, 1)
     assert len(tree) in (2, 3)
-    assert is_forest(restriction(g, tree))
+    assert forest(g, tree)
 
 
 def test_tree_edge_count_and_alpha_drop_random():
@@ -68,8 +67,8 @@ def test_tree_edge_count_and_alpha_drop_random():
             m = mu_bipartite(g, cert).witness
             tree = build_contraction_tree(g, m, d)
             assert len(tree) in (2 * d, 2 * d + 1)
-            sub = restriction(g, tree)
-            assert is_forest(sub)
+            assert forest(g, tree)
+            sub = Graph(g.n, tree)
             assert max(len(c) for c in sub.connected_components()) == len(tree) + 1
             after = alpha_exact(contract_edges(g, tree)[0]).value
             assert after <= alpha - d

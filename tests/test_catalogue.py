@@ -11,7 +11,7 @@ from blockerlab.catalogue import (
     random_connected_graph,
     random_graph,
 )
-from blockerlab.graph import Graph, complete_bipartite_graph, cycle_graph, disjoint_union
+from blockerlab.graph import Graph, complete_multipartite_graph, cycle_graph, disjoint_union
 from blockerlab.isomorphism import are_isomorphic, invariant_key
 
 # Connected graphs by vertex count, n = 1..9: bipartite OEIS A005142,
@@ -193,7 +193,7 @@ def test_equal_keys_mean_isomorphic():
     [
         # Regular pairs: colour refinement alone gives every vertex one colour.
         (cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3))),
-        (complete_bipartite_graph(3, 3),
+        (complete_multipartite_graph((3, 3)),
          Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])),
         (cycle_graph(8), disjoint_union(cycle_graph(4), cycle_graph(4))),
     ],

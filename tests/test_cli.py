@@ -17,16 +17,15 @@ from blockerlab.cli import main
 from blockerlab.cotree import parse_cotree_sexpr, realize_cotree
 from blockerlab.graph import (
     Graph,
-    complete_bipartite_graph,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     delete_edges,
-    graph_join,
     path_graph,
 )
 from blockerlab.graphio import format_graph, parse_graph
 from blockerlab.report import digest_bytes
+from helpers import join
 
 
 @pytest.fixture
@@ -220,8 +219,8 @@ def test_verify_mono_report(capsys, tmp_path, k4_file):
 
 def test_verify_mono_report_above_chi_exact_ceiling(capsys, tmp_path):
     # 22 vertices: chi must be certified without chi_exact (n <= 20).
-    halves = graph_join(complete_bipartite_graph(3, 3), complete_bipartite_graph(4, 4))
-    g = graph_join(halves, Graph(8, [(0, 1), (2, 3)]))
+    halves = join(complete_multipartite_graph((3, 3)), complete_multipartite_graph((4, 4)))
+    g = join(halves, Graph(8, [(0, 1), (2, 3)]))
     graph_file = tmp_path / "cograph22.graph"
     graph_file.write_text(format_graph(g))
     code, out = _run(capsys, "mono", "--mode", "deficiency", "-d", "1", str(graph_file))
@@ -234,7 +233,7 @@ def test_verify_mono_report_above_chi_exact_ceiling(capsys, tmp_path):
 
 def test_verify_mono_report_above_omega_exact_ceiling(capsys, tmp_path):
     # 42 vertices: the clique must come from the cotree (omega_exact: n <= 40).
-    g = graph_join(complete_bipartite_graph(10, 11), complete_bipartite_graph(10, 11))
+    g = join(complete_multipartite_graph((10, 11)), complete_multipartite_graph((10, 11)))
     graph_file = tmp_path / "cograph42.graph"
     graph_file.write_text(format_graph(g))
     code, out = _run(capsys, "mono", "--mode", "deficiency", "-d", "1", str(graph_file))

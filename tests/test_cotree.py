@@ -2,15 +2,18 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from operator import add
 
 import pytest
 
 from blockerlab.catalogue import graph_catalogue
 from blockerlab.cotree import (
+    Cotree,
     CotreeInner,
     CotreeLeaf,
     build_cotree,
     cotree_sexpr,
+    fold,
     parse_cotree_sexpr,
     proper_colouring,
     realize_cotree,
@@ -21,12 +24,13 @@ from blockerlab.graph import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    graph_join,
     path_graph,
 )
 from blockerlab.isomorphism import are_isomorphic
+from blockerlab.monochromatic import min_mono_edges_fixed_h
 from blockerlab.parameters import chi_exact, cograph_pair
 from blockerlab.recognizers import CotreeCertificate
+from helpers import join
 
 
 def test_build_k2_is_join_of_leaves():
@@ -122,8 +126,28 @@ def test_proper_colouring_memory_is_linear():
     assert peak < 1_000_000
 
 
+def test_a_cotree_node_belongs_to_one_tree():
+    # A tree over nodes that another tree owns is refused before any index
+    # is written, whether its leaves pass the leaf check (K2 on 0, 1) or
+    # not (K3 on 2, 3, 4), so the first tree answers as before.
+    leaf = [CotreeLeaf(v) for v in range(5)]
+    k2 = CotreeInner(1, leaf[0], leaf[1])
+    k3 = CotreeInner(1, CotreeInner(1, leaf[2], leaf[3]), leaf[4])
+    t = Cotree(CotreeInner(0, k3, k2))
+
+    def answers():
+        return realize_cotree(t), fold(t, lambda v: [v], add, add), min_mono_edges_fixed_h(t, 2)
+
+    before = answers()
+    assert before[0] == Graph(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+    for owned in (k2, k3):
+        with pytest.raises(ValueError, match="a cotree node belongs to one tree only"):
+            Cotree(owned)
+        assert answers() == before
+
+
 def test_sexpr_roundtrip():
-    src = build_cotree(graph_join(cycle_graph(4), Graph(1)))
+    src = build_cotree(join(cycle_graph(4), Graph(1)))
     text = cotree_sexpr(src)
     parsed = parse_cotree_sexpr(text)
     assert realize_cotree(parsed) == realize_cotree(src)
@@ -144,7 +168,7 @@ def _random_cograph(rng, n):
     while len(parts) > 1:
         a = parts.pop(rng.randrange(len(parts)))
         b = parts.pop(rng.randrange(len(parts)))
-        parts.append(graph_join(a, b) if rng.random() < 0.5 else disjoint_union(a, b))
+        parts.append(join(a, b) if rng.random() < 0.5 else disjoint_union(a, b))
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, [(perm[u], perm[v]) for u, v in parts[0].edges()])

@@ -9,7 +9,7 @@ from blockerlab.errors import (
     check_capacity,
     configured_budget,
 )
-from blockerlab.graph import Graph, complete_bipartite_graph, complete_graph, cycle_graph
+from blockerlab.graph import Graph, complete_graph, complete_multipartite_graph, cycle_graph
 from blockerlab.monochromatic import min_mono_edges_deficiency, min_mono_edges_fixed_h
 from blockerlab.oracle import (
     BlockerQuery,
@@ -35,7 +35,7 @@ CONFIGURED = 50
 # it and the budget it must report.
 SITES = {
     "brute_blocker": (
-        lambda: brute_blocker(BlockerQuery(complete_bipartite_graph(4, 4), "contract", "alpha", 8, 1)),
+        lambda: brute_blocker(BlockerQuery(complete_multipartite_graph((4, 4)), "contract", "alpha", 8, 1)),
         CONFIGURED,
     ),
     "brute_blocker_decision": (

@@ -8,19 +8,12 @@ from hypothesis import strategies as st
 
 from blockerlab.catalogue import graph_catalogue
 from blockerlab.cotree import build_cotree
-from blockerlab.graph import (
-    Graph,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    graph_join,
-)
+from blockerlab.graph import Graph, complete_graph, complete_multipartite_graph, cycle_graph
 from blockerlab.errors import BUDGET_ENV_VAR, CapacityExceededError
 from blockerlab.monochromatic import (
     _merge,
     _merged_colouring,
     count_monochromatic_edges,
-    has_property_one,
     min_mono_edges_deficiency,
     min_mono_edges_fixed_h,
     monochromatic_edge_set,
@@ -28,6 +21,7 @@ from blockerlab.monochromatic import (
 )
 from blockerlab.oracle import brute_min_mono
 from blockerlab.parameters import chi_exact
+from helpers import has_property_one, join
 
 
 def test_count_examples():
@@ -54,7 +48,7 @@ def test_edge_deletion_witness():
 
 
 def test_recolour_examples():
-    g = complete_bipartite_graph(2, 2)
+    g = complete_multipartite_graph((2, 2))
     out = recolour_module(g, (1, 2, 1, 1), [0, 1])
     assert count_monochromatic_edges(g, out) == 0
     # Single vertex: the only available colour is its own.
@@ -384,7 +378,7 @@ def test_deficiency_supports_d3():
 
 
 def test_deficiency_matches_fixed_h_on_join_example():
-    w4 = graph_join(cycle_graph(4), Graph(1))
+    w4 = join(cycle_graph(4), Graph(1))
     t = build_cotree(w4)
     chi = chi_exact(w4).value
     assert min_mono_edges_deficiency(t, 1)[0] == min_mono_edges_fixed_h(t, chi - 1)[0]

@@ -13,14 +13,17 @@ import blockerlab
 # instance preconditions): ``python -O`` strips ``assert``, so every check
 # must raise an exception instead.
 MODULES = sorted(path.name for path in Path(blockerlab.__file__).parent.glob("*.py"))
+# The tests' shared checks, such as the Property 1 oracle, must raise too:
+# pytest rewrites the asserts of test modules only.
+HELPERS = Path(__file__).with_name("helpers.py")
 
 
 def _tree(module):
-    path = Path(blockerlab.__file__).parent / module
+    path = module if isinstance(module, Path) else Path(blockerlab.__file__).parent / module
     return ast.parse(path.read_text(), filename=str(path))
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", [*MODULES, pytest.param(HELPERS, id="tests/helpers.py")])
 def test_certifying_module_has_no_assert(module):
     lines = [node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Assert)]
     assert not lines, f"{module} uses assert on lines {lines}"

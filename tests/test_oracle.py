@@ -11,16 +11,13 @@ from blockerlab.catalogue import (
 from blockerlab.errors import BUDGET_ENV_VAR, CapacityExceededError
 from blockerlab.graph import (
     Graph,
-    complete_bipartite_graph,
     complete_graph,
+    complete_multipartite_graph,
     contract_edges,
     cycle_graph,
     delete_edges,
     delete_vertices,
-    is_forest,
     path_graph,
-    restriction,
-    star_graph,
 )
 from blockerlab.isomorphism import are_isomorphic
 from blockerlab.monochromatic import count_monochromatic_edges
@@ -41,6 +38,7 @@ from blockerlab.oracle import (
     is_minimal_critical,
     min_critical_size,
 )
+from helpers import forest
 
 
 def test_brute_blocker_examples():
@@ -84,7 +82,7 @@ def test_brute_blocker_k_zero_is_no():
 
 
 def test_brute_blocker_budget_error():
-    g = complete_bipartite_graph(4, 4)
+    g = complete_multipartite_graph((4, 4))
     with pytest.raises(CapacityExceededError):
         brute_blocker(BlockerQuery(g, "contract", "alpha", 8, 1), budget=10)
 
@@ -143,7 +141,7 @@ def test_minimal_critical_sets_have_forest_restriction():
         for size in range(1, min(4, len(edges)) + 1):
             for s in itertools.combinations(edges, size):
                 if is_minimal_critical(g, s, "alpha"):
-                    assert is_forest(restriction(g, s))
+                    assert forest(g, s)
 
 
 def test_brute_min_mono_examples():
@@ -179,7 +177,8 @@ def test_brute_mss_budget_and_validation(monkeypatch):
 
 def test_catalogue_contents():
     small_bipartite = list(graph_catalogue("bipartite", 4))
-    for expect in (path_graph(2), path_graph(3), path_graph(4), cycle_graph(4), star_graph(3)):
+    for expect in (path_graph(2), path_graph(3), path_graph(4), cycle_graph(4),
+                   complete_multipartite_graph((1, 3))):
         assert any(are_isomorphic(g, expect) for g in small_bipartite)
 
     for g in graph_catalogue("cograph", 6):

@@ -4,19 +4,23 @@ import random
 import pytest
 
 from blockerlab import cotree, parameters
-from blockerlab.catalogue import graph_catalogue, random_chordal, random_connected_bipartite
+from blockerlab.catalogue import (
+    graph_catalogue,
+    random_chordal,
+    random_connected_bipartite,
+    random_graph,
+)
 from blockerlab.errors import CapacityExceededError, CertificateError
 from blockerlab.graph import (
     Graph,
     bits,
-    complete_bipartite_graph,
     complete_graph,
+    complete_multipartite_graph,
     contract_edges,
     cycle_graph,
     delete_edges,
     delete_vertices,
     path_graph,
-    star_graph,
     to_mask,
 )
 from blockerlab.graphio import format_graph
@@ -40,10 +44,7 @@ from blockerlab.recognizers import (
     recognize_chordal,
 )
 from blockerlab.report import digest_bytes, verify_report
-
-
-def _random_graph(rng, n, p=0.5):
-    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+from helpers import labelled_graphs
 
 
 def _brute_alpha(g):
@@ -63,7 +64,7 @@ def test_alpha_examples(paw):
 
 def test_alpha_against_subset_enumeration(rng):
     for _ in range(60):
-        g = _random_graph(rng, rng.randint(1, 8))
+        g = random_graph(rng, rng.randint(1, 8))
         pv = alpha_exact(g)
         assert pv.value == _brute_alpha(g)
         assert validate_witness(g, pv)
@@ -111,16 +112,10 @@ def _brute_chi(g):
 
 def test_chi_against_brute(rng):
     for _ in range(40):
-        g = _random_graph(rng, rng.randint(1, 6))
+        g = random_graph(rng, rng.randint(1, 6))
         pv = chi_exact(g)
         assert pv.value == _brute_chi(g)
         assert validate_witness(g, pv)
-
-
-def _labelled_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for m in range(1 << len(pairs)):
-        yield Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1])
 
 
 def _operated(g):
@@ -138,10 +133,10 @@ def test_exact_solvers_against_subset_enumeration():
     # from them are among those), 200 seeded graphs on 6 to 9 vertices and
     # every graph the operations make from those.
     rng = random.Random(14)
-    seeded = [_random_graph(rng, rng.randint(6, 9), rng.choice((0.3, 0.5, 0.7)))
+    seeded = [random_graph(rng, rng.randint(6, 9), rng.choice((0.3, 0.5, 0.7)))
               for _ in range(200)]
     graphs = {h for g in seeded for h in _operated(g)}
-    graphs.update(h for n in range(6) for h in _labelled_graphs(n))
+    graphs.update(h for n in range(6) for h in labelled_graphs(n))
     assert len(graphs) > 30000
     for g in graphs:
         independent, clique = _subset_tables(g)
@@ -155,7 +150,7 @@ def test_exact_solvers_against_subset_enumeration():
 
 
 def test_matching_examples():
-    for g, expect in [(cycle_graph(4), 2), (path_graph(4), 2), (star_graph(3), 1)]:
+    for g, expect in [(cycle_graph(4), 2), (path_graph(4), 2), (complete_multipartite_graph((1, 3)), 1)]:
         cert = recognize_bipartite(g)
         pv = mu_bipartite(g, cert)
         assert pv.value == expect
@@ -193,7 +188,7 @@ def test_alpha_chordal_agrees_with_exact():
 
 
 def test_tau_examples():
-    for g, expect in [(cycle_graph(4), 2), (complete_graph(4), 3), (star_graph(3), 1)]:
+    for g, expect in [(cycle_graph(4), 2), (complete_graph(4), 3), (complete_multipartite_graph((1, 3)), 1)]:
         pv = tau_from_alpha(g, alpha_exact(g))
         assert pv.value == expect
         assert validate_witness(g, pv)
@@ -212,7 +207,7 @@ def test_koenig_on_random_bipartite():
 def test_alpha_plus_tau_is_n():
     rng = random.Random(10)
     for _ in range(120):
-        g = _random_graph(rng, rng.randint(1, 10))
+        g = random_graph(rng, rng.randint(1, 10))
         a = alpha_exact(g)
         t = tau_from_alpha(g, a)
         assert a.value + t.value == g.n
@@ -322,7 +317,7 @@ def test_route_rejects_a_mutated_certificate(monkeypatch, name):
 
 
 def test_mu_witness_is_a_matching():
-    g = complete_bipartite_graph(3, 3)
+    g = complete_multipartite_graph((3, 3))
     pv = mu_bipartite(g, recognize_bipartite(g))
     assert pv.value == 3
     seen = set()
@@ -416,7 +411,7 @@ def test_witness_checks_match_pairwise_definition():
     rng = random.Random(12)
     checked = {True: 0, False: 0}
     for _ in range(300):
-        g = _random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
         alpha = alpha_exact(g)
         cases = {  # kind -> (a witness, the elements it is drawn from, one out of range)
             "alpha": (alpha.witness, range(g.n), g.n),
@@ -461,7 +456,7 @@ def _groetzsch():
     return Graph(11, edges + [(5 + i, 10) for i in range(5)])
 
 
-# Exact witnesses on _random_graph(Random(seed), n, p) and on two named
+# Exact witnesses on random_graph(Random(seed), n, p) and on two named
 # graphs: alpha and omega as sorted vertex tuples, chi as the colouring (None
 # above chi's ceiling).  Faster solvers must keep every witness.
 PINNED_EXACT = [
@@ -490,7 +485,7 @@ def test_exact_witnesses_pinned():
             g = cycle_graph(7)
         else:
             seed, n, p = key
-            g = _random_graph(random.Random(seed), n, p)
+            g = random_graph(random.Random(seed), n, p)
         assert tuple(sorted(alpha_exact(g).witness)) == alpha_wit, key
         omega = omega_exact(g)
         assert tuple(sorted(omega.witness)) == omega_wit, key
@@ -513,7 +508,7 @@ def _pinned_graph(key):
     if key == "C7":
         return cycle_graph(7)
     seed, n, p = key
-    return _random_graph(random.Random(seed), n, p)
+    return random_graph(random.Random(seed), n, p)
 
 
 def _greedy_seed(adj, n):
@@ -546,7 +541,7 @@ def test_independent_set_search_exits_pinned():
     # once when the greedy clique cover has as many parts, and is searched
     # past otherwise.
     graphs = [_pinned_graph(key) for key, *_ in PINNED_EXACT]
-    graphs += [_random_graph(random.Random(seed), 8, p) for seed in range(30) for p in (0.3, 0.5, 0.7)]
+    graphs += [random_graph(random.Random(seed), 8, p) for seed in range(30) for p in (0.3, 0.5, 0.7)]
     closed = searched = improved = 0
     for g in graphs:
         for adj in (g.adj, g.complement().adj):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from blockerlab.catalogue import graph_catalogue
+from blockerlab.catalogue import graph_catalogue, random_graph
 from blockerlab.errors import CertificateError
 from blockerlab.graph import (
     Graph,
@@ -27,10 +27,7 @@ from blockerlab.recognizers import (
     validate_elimination_order,
     validate_multipartite,
 )
-
-
-def _random_graph(rng, n, p=0.5):
-    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+from helpers import labelled_graphs
 
 
 def test_bipartite_positive():
@@ -110,7 +107,7 @@ def test_multipartite_witness_is_p2_plus_p1():
 def test_negative_witnesses_validate_on_random_graphs():
     rng = random.Random(77)
     for _ in range(200):
-        g = _random_graph(rng, rng.randint(3, 9))
+        g = random_graph(rng, rng.randint(3, 9))
         cert = recognize_bipartite(g)
         if isinstance(cert, NotInClass):
             cyc = cert.witness
@@ -139,7 +136,7 @@ def test_recognizers_match_forbidden_subgraph_characterisations():
     p4 = path_graph(4)
     p2p1 = disjoint_union(path_graph(2), Graph(1))
     for _ in range(250):
-        g = _random_graph(rng, rng.randint(1, 7))
+        g = random_graph(rng, rng.randint(1, 7))
         is_cograph = isinstance(recognize_cograph(g), CotreeCertificate)
         assert is_cograph == (contains_induced(g, p4) is None)
         is_cmp = isinstance(recognize_complete_multipartite(g), MultipartiteParts)
@@ -170,12 +167,6 @@ def test_chordal_gadget_like_graphs_recognized():
 
 # Differential checks: each certificate test against its definition, written
 # out here, on every labelled graph on five vertices.
-def _labelled_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for chosen in range(1 << len(pairs)):
-        yield Graph(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
-
-
 def _set_partitions(items):
     if not items:
         yield []
@@ -199,7 +190,7 @@ def test_elimination_order_check_matches_its_definition():
     # A perfect elimination order: the later neighbours of each vertex are
     # pairwise adjacent.  A graph is chordal iff it has one.
     orders = list(itertools.permutations(range(5)))
-    for g in _labelled_graphs(5):
+    for g in labelled_graphs(5):
         any_perfect = False
         for order in orders:
             pos = {v: i for i, v in enumerate(order)}
@@ -216,7 +207,7 @@ def test_elimination_order_check_matches_its_definition():
 
 def test_bipartition_check_matches_its_definition():
     # A bipartition: no edge has both ends on one side.
-    for g in _labelled_graphs(5):
+    for g in labelled_graphs(5):
         for left_mask in range(1 << 5):
             left = frozenset(v for v in range(5) if left_mask >> v & 1)
             right = frozenset(range(5)) - left
@@ -230,7 +221,7 @@ def test_multipartite_check_matches_its_definition():
     # exactly when they lie in different parts.
     partitions = [tuple(map(frozenset, p)) for p in _set_partitions(list(range(5)))]
     assert len(partitions) == 52  # the Bell number B5
-    for g in _labelled_graphs(5):
+    for g in labelled_graphs(5):
         any_fits = False
         for parts in partitions:
             part_of = {v: i for i, part in enumerate(parts) for v in part}
