@@ -8,9 +8,11 @@ The solver has two routes:
    contracts to a single vertex whose removal leaves a graph with alpha at
    most ``alpha - d - 1``;
 2. otherwise the oracle's layered search (:func:`oracle.layered_search`) over
-   sets of at most ``k`` edges, which for ``k <= 2d`` is constant-degree
-   polynomial and refused with :class:`CapacityExceededError` when the number
-   of subsets passes the configured budget; alpha of each contracted graph is
+   sets of at most ``k`` edges.  It answers ``k < d`` no at any size, with
+   no scan and no charge, since one contraction lowers alpha by at most
+   one.  For ``k <= 2d`` it is constant-degree polynomial, and refused with
+   :class:`CapacityExceededError` when the number of subsets passes the
+   configured budget; alpha of each contracted graph is
    computed by splitting an independent set into contracted and untouched
    vertices, the untouched part being bipartite.  The split is decided
    against the search's target ``alpha - d``: on an edge set that misses it

@@ -4,11 +4,13 @@ These routines anchor the polynomial algorithms and the gadget constructions,
 so they must be simple enough to be obviously correct and must fail loudly
 (``CapacityExceededError``) instead of degrading when an instance is too large
 for exhaustive search.  The blocker search, :func:`layered_search`, enumerates
-subsets by size and skips only layers whose outcome is already decided:
-(delete-edges, alpha) never drops, and for a monotone pair a miss in the top
-layer is a no.  Its budget counts every layer up to ``k``.  It takes the
-evaluator of each subset as an argument, so the bipartite blocker's ``k <= 2d``
-enumeration is the same search with that module's split evaluator.
+subsets by size and skips only layers whose outcome is already decided: no
+set of fewer than ``d`` elements lowers a parameter by ``d``, (delete-edges,
+alpha) never drops, and for a monotone pair a miss in the top layer is a no.
+Its budget counts every layer up to ``k``, and nothing when ``k < d``.  It
+takes the evaluator of each subset as an argument, so the bipartite blocker's
+``k <= 2d`` enumeration is the same search with that module's split
+evaluator.
 
 In :func:`brute_blocker` each subset is decided against the target
 ``value_before - d`` on masks built once per query (:func:`_evaluator`): the
@@ -115,14 +117,19 @@ def layered_search(q: BlockerQuery, prepare: Callable[[], tuple[int, Callable]],
     ``prepare()`` returns the value before and the evaluator
     ``value_after(subset, target)``, exact when at most ``target`` and
     anything above it otherwise.  It runs after the capacity check, which
-    counts every layer up to ``k``, so no solver sees an oversized query.
+    counts every layer up to ``k``, so no solver sees an oversized query;
+    with ``k < d`` it runs only for the value before.
 
     Subsets are enumerated by increasing size and lexicographically within a
     size, so the reported witness is deterministic: the lexicographically
     least among the minimum-size ones.  The empty set changes nothing, so
-    with ``d >= 1`` the scan starts at size 1.  Two layer rules skip work
+    with ``d >= 1`` the scan starts at size 1.  Three layer rules skip work
     without changing any answer:
 
+    * a query with ``k < d`` is a no without a scan, and charges no subsets
+      to the budget: deleting a vertex or an edge lowers alpha, omega or chi
+      by at most one, and contracting a set of ``s`` edges merges at most
+      ``s`` pairs of vertices, each merge lowering them by at most one;
     * deleting edges never lowers alpha, so (delete-edges, alpha) is a no
       without a scan;
     * for a monotone pair a hit of size ``s <= top = min(k, |ground|)``
@@ -132,6 +139,8 @@ def layered_search(q: BlockerQuery, prepare: Callable[[], tuple[int, Callable]],
 
     A subset is a hit when its value is at most ``value_before - d``.
     """
+    if q.k < q.d:
+        return _answer(None, True, prepare()[0])
     ground = _ground_set(q.graph, q.operation)
     top = min(q.k, len(ground))
     check_capacity(sum(math.comb(len(ground), i) for i in range(top + 1)), "subsets", budget)
@@ -157,8 +166,9 @@ def brute_blocker_decision(q: BlockerQuery) -> OracleAnswer:
 
     When growing the set can only shrink the parameter, a witness of size
     ``<= k`` exists iff one of size exactly ``min(k, |ground|)`` does, so a
-    single combination layer decides the instance.  The witness is not
-    minimum-size.
+    single combination layer decides the instance, and a query with
+    ``k < d`` is a no without one (the bound of :func:`layered_search`).
+    The witness is not minimum-size.
 
     It stays next to :func:`brute_blocker` because it scans that one layer
     only, where :func:`brute_blocker` goes on to scan every smaller layer
@@ -170,6 +180,8 @@ def brute_blocker_decision(q: BlockerQuery) -> OracleAnswer:
         raise ValueError(
             f"({q.operation}, {q.parameter}) is not monotone; use brute_blocker"
         )
+    if q.k < q.d:
+        return _answer(None, False, parameter_value(q.graph, q.parameter))
     ground = _ground_set(q.graph, q.operation)
     top = min(q.k, len(ground))
     check_capacity(math.comb(len(ground), top), "subsets")

@@ -221,6 +221,21 @@ def test_enumeration_scans_the_top_layer_first(monkeypatch):
     assert calls == math.comb(10, 2) == 45
 
 
+def test_enumeration_answers_k_below_d_without_a_split(monkeypatch):
+    """Fewer than d contractions cannot lower alpha by d: no edge set is
+    split, and the value before is still reported."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+
+    monkeypatch.setattr(bipartite_blocker, "alpha_after_contraction_bipartite", counted)
+    out = solve_bipartite_contraction_blocker(cycle_graph(10), 1, 2)
+    assert out == (False, None, 5)
+    assert calls == 0
+
+
 def _enumeration_queries(n_min, n_max):
     """(graph, k, d) for every connected bipartite catalogue graph with
     n_min <= n <= n_max and every query the k <= 2d enumeration answers."""

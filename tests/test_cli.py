@@ -692,6 +692,30 @@ def test_blocker_enumeration_is_budgeted(capsys, tmp_path, monkeypatch):
     assert "102091" in capsys.readouterr().err
 
 
+def test_blocker_with_k_below_d_answers_at_any_size(capsys, tmp_path):
+    # Two contractions cannot lower alpha by 3, so C_4600 is a no without
+    # its 10,582,301 edge sets of at most two edges, and the no verifies.
+    path = tmp_path / "c4600.graph"
+    path.write_text(format_graph(cycle_graph(4600)))
+    code, out = _run(capsys, "blocker", "-k", "2", "-d", "3", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["answer"] == "no" and report["value_before"] == 2300
+    report_file = tmp_path / "blocker.json"
+    report_file.write_text(out)
+    code, verdict = _run(capsys, "verify", str(report_file), str(path))
+    assert code == 0 and json.loads(verdict)["valid"], verdict
+
+
+def test_oracle_with_k_below_d_charges_no_subsets(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("BLOCKERLAB_BUDGET", "1")
+    path = tmp_path / "k6.graph"
+    path.write_text(format_graph(complete_graph(6)))
+    code, out = _run(capsys, "oracle", "--op", "delete-vertices", "--param", "chi",
+                     "-k", "1", "-d", "2", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["answer"] == "no" and report["value_before"] == 6
+
+
 def test_removed_options_are_usage_errors(p4_file):
     for argv in (
         ["blocker", "--threads", "2", "-k", "1", "-d", "1", p4_file],

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,10 @@ from blockerlab.monochromatic import (
 from blockerlab.oracle import brute_min_mono
 from blockerlab.parameters import chi_exact
 from helpers import has_property_one, join
+
+# The benchmark's cotree generator, so the tests and the bench draw the same trees.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import random_cotree
 
 
 def test_count_examples():
@@ -130,17 +136,6 @@ def test_fixed_h_examples():
         assert all(col[u] != col[v] for u, v in g.edges())
 
 
-def _random_cotree(rng, n, join_p):
-    from blockerlab.cotree import Cotree, CotreeInner, CotreeLeaf
-
-    roots = [CotreeLeaf(v) for v in range(n)]
-    while len(roots) > 1:
-        i, j = sorted(rng.sample(range(len(roots)), 2))
-        right, left = roots.pop(j), roots.pop(i)
-        roots.append(CotreeInner(1 if rng.random() < join_p else 0, left, right))
-    return Cotree(roots[0])
-
-
 def test_fixed_h_four_colours_against_brute():
     # At h = 4 a class-size vector has up to 24 arrangements; chi >= 5 keeps
     # the DP from returning the proper colouring outright.
@@ -149,7 +144,7 @@ def test_fixed_h_four_colours_against_brute():
     rng = random.Random(404)
     checked = 0
     while checked < 6:
-        t = _random_cotree(rng, rng.choice((8, 9)), 0.6)
+        t = random_cotree(rng, rng.choice((8, 9)), 0.6)
         if t.chi < 5:
             continue
         g = realize_cotree(t)
@@ -229,7 +224,7 @@ def test_deficiency_scales_within_a_small_budget(monkeypatch):
 
     monkeypatch.setenv(BUDGET_ENV_VAR, "20000")
     chain = _threshold_chain(150)
-    tree = _random_cotree(random.Random(1), 80, 0.5)
+    tree = random_cotree(random.Random(1), 80, 0.5)
     for t in (chain, tree):
         count, col = min_mono_edges_deficiency(t, 3)
         assert count_monochromatic_edges(realize_cotree(t), col) == count
@@ -257,7 +252,7 @@ def test_deficiency_frontier_prunes_and_matches_fixed_h():
     rng = random.Random(1809)
     dropped = checked = 0
     while checked < 10:
-        t = _random_cotree(rng, rng.randint(18, 24), 0.4)
+        t = random_cotree(rng, rng.randint(18, 24), 0.4)
         if t.chi not in (5, 6):
             continue
         checked += 1
@@ -335,7 +330,7 @@ def test_deficiency_union_states_match_every_split():
 
     rng = random.Random(2811)
     trees = [build_cotree(g) for g in graph_catalogue("cograph", 7)]
-    trees += [_random_cotree(rng, rng.randint(16, 24), 0.3) for _ in range(20)]
+    trees += [random_cotree(rng, rng.randint(16, 24), 0.3) for _ in range(20)]
     compared = with_head = 0
     for t in trees:
         for d in range(1, min(3, t.chi - 1) + 1):
@@ -614,7 +609,7 @@ def test_deficiency_outputs_are_pinned():
     queries = 0
     rng = random.Random(2407)
     trees = [build_cotree(g) for g in graph_catalogue("cograph", 8)]
-    trees += [_random_cotree(rng, rng.randint(16, 30), 0.5) for _ in range(100)]
+    trees += [random_cotree(rng, rng.randint(16, 30), 0.5) for _ in range(100)]
     for t in trees:
         for d in range(1, min(3, t.chi - 1) + 1):
             digest.update(repr((d,) + min_mono_edges_deficiency(t, d)).encode())
@@ -639,7 +634,7 @@ def test_fixed_h_outputs_are_pinned():
     rng = random.Random(2410)
     trees = []
     while len(trees) < 40:
-        t = _random_cotree(rng, rng.randint(16, 24), 0.4)
+        t = random_cotree(rng, rng.randint(16, 24), 0.4)
         if 4 <= t.chi <= 6:
             trees.append(t)
     for t in trees:

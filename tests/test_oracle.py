@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from blockerlab import oracle
 from blockerlab.catalogue import (
     CATALOGUE_CLASSES,
     graph_catalogue,
@@ -94,6 +95,35 @@ def test_subset_budget_refuses_before_the_value_before_is_solved(monkeypatch):
     query = BlockerQuery(complete_graph(21), "delete-vertices", "chi", 3, 1)
     with pytest.raises(CapacityExceededError, match="^1562 subsets exceed the budget of 50$"):
         brute_blocker(query)
+
+
+def test_k_below_d_is_a_no_without_a_scan(monkeypatch):
+    """No set of fewer than d elements lowers a parameter by d.  Neither
+    search calls an evaluator or charges a subset, even with a budget of 0."""
+    calls = 0
+    build = oracle._evaluator
+
+    def counted(*args):
+        value_after = build(*args)
+
+        def count(*args):
+            nonlocal calls
+            calls += 1
+            return value_after(*args)
+
+        return count
+
+    monkeypatch.setattr(oracle, "_evaluator", counted)
+    g = complete_graph(6)
+    for op, param in itertools.product(OPERATIONS, PARAMETERS):
+        for k, d in ((0, 1), (1, 2), (2, 3)):
+            q = BlockerQuery(g, op, param, k, d)
+            before = 1 if param == "alpha" else 6
+            expected = OracleAnswer(False, None, False, before, None)
+            assert brute_blocker(q, budget=0) == expected
+            if (op, param) in _MONOTONE:
+                assert brute_blocker_decision(q) == expected
+    assert calls == 0
 
 
 def test_brute_blocker_invalid_query():
