@@ -10,11 +10,12 @@ The solver has two routes:
 2. otherwise the oracle's layered search (:func:`oracle.layered_search`) over
    sets of at most ``k`` edges.  It answers ``k < d`` no at any size, with
    no scan and no charge, since one contraction lowers alpha by at most
-   one.  For ``k <= 2d`` it is constant-degree polynomial, and refused with
-   :class:`CapacityExceededError` when the number of subsets passes the
-   configured budget; alpha of each contracted graph is
-   computed by splitting an independent set into contracted and untouched
-   vertices, the untouched part being bipartite.  The split is decided
+   one.  For ``d <= k <= 2d`` it is constant-degree polynomial, and refused
+   with :class:`CapacityExceededError` when the number of subsets passes the
+   configured budget, or with :class:`ValueError` when ``d`` passes
+   :data:`MAX_SUPPORTED_D`; alpha of each contracted graph is computed by
+   splitting an independent set into contracted and untouched vertices, the
+   untouched part being bipartite.  The split is decided
    against the search's target ``alpha - d``: on an edge set that misses it
    stops at the first independent set above the target, and only a hit is
    split to the end, so a witness's ``claimed_alpha_after`` is exact.
@@ -35,8 +36,9 @@ from .parameters import bipartite_matching, koenig_pair
 from .recognizers import recognize_bipartite, validate_bipartition
 
 # The budget counts edge sets, but the split tries up to 2^k sets of merged
-# vertices on each one, with k <= 2d on the enumeration route: work that no
-# budget counts, so d stays capped until a meter charges it.
+# vertices on each one when the enumeration route scans (k >= d): work that
+# no budget counts, so d stays capped there until a meter charges it.  The
+# tree route's one split sees one merged vertex, and k < d needs no split.
 MAX_SUPPORTED_D = 3
 
 
@@ -138,8 +140,6 @@ def alpha_after_contraction_bipartite(g: Graph, s, cert: Bipartition,
 def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutcome:
     """Decide whether ``<= k`` contractions drop alpha by at least ``d``."""
     query = BlockerQuery(g, "contract", "alpha", k, d)
-    if d > MAX_SUPPORTED_D:
-        raise ValueError(f"d <= {MAX_SUPPORTED_D} supported, got {d}")
     cert = recognize_bipartite(g)
     if isinstance(cert, NotInClass):
         raise CertificateError(f"input is not bipartite ({cert.reason})")
@@ -159,6 +159,9 @@ def solve_bipartite_contraction_blocker(g: Graph, k: int, d: int) -> BlockerOutc
                 f"contraction tree leaves alpha {after}, above the target {alpha - d}"
             )
         return BlockerOutcome(True, ContractionWitness(tree, after), alpha)
+
+    if k >= d > MAX_SUPPORTED_D:
+        raise ValueError(f"d <= {MAX_SUPPORTED_D} supported, got {d}")
 
     # The oracle's search, each edge set decided by the split against the
     # search's target.  ``split`` looks the evaluator up in this module at

@@ -9,8 +9,9 @@ their value with two validated witnesses of one size (:func:`certify_pair`):
 König's matching and vertex cover, and an edge with the two sides as a
 colouring, on bipartite graphs; an independent set and a clique cover along a
 perfect elimination order on chordal graphs (Gavril); and a cotree clique and
-colouring on cographs.  :func:`certified_value` picks the route; ``param`` and
-``verify`` both call it.
+colouring on cographs.  :func:`certified_value` picks the route from one
+table, where tau is the complement of alpha and omega and chi are the sides
+of one pair per class; ``param`` and ``verify`` both call it.
 """
 
 from __future__ import annotations
@@ -375,45 +376,34 @@ def certified_value(g: Graph, kind: str, klass: str = "auto") -> tuple[Parameter
     A class route answers when ``g`` is in the class (recognised lazily, at
     most once) and ``klass`` is "auto" or names it.  Otherwise the exact
     solver answers, as route "general"; mu has none, so it takes its class
-    route whatever ``klass`` names.  A named ``klass`` must hold even when no
-    route of ``kind`` uses it, or :class:`GraphFormatError` is raised.
+    route whatever ``klass`` names.  tau is the complement of alpha on every
+    route.  A named ``klass`` must hold even when no route of ``kind`` uses
+    it, or :class:`GraphFormatError` is raised.
     """
     from .recognizers import recognize_bipartite, recognize_chordal, recognize_cograph
 
-    # Built per call, so a name that a tracer rebinds in this module is seen.
-    def tau(alpha_solver):
-        return lambda g, *cert: tau_from_alpha(g, alpha_solver(g, *cert))
-
-    def side(pair, i):
-        return lambda g, cert: pair(g, cert)[i]
-
+    if kind == "tau":
+        alpha, route = certified_value(g, "alpha", klass)
+        return tau_from_alpha(g, alpha), route
+    # Built per call, so a name that a tracer rebinds is seen.
+    recognisers = {"bipartite": recognize_bipartite, "chordal": recognize_chordal,
+                   "cograph": recognize_cograph}
     # A clique and a colouring of one size; on the empty graph there is no
     # vertex to stand as the clique, and the fallback answers.
-    perfect = (("bipartite", bipartite_pair), ("cograph", cograph_pair)) if g.n else ()
-    recognisers = {
-        "bipartite": recognize_bipartite,
-        "chordal": recognize_chordal,
-        # The 0-vertex graph has no cotree, so it counts as no cograph.
-        "cograph": lambda g: recognize_cograph(g) if g.n else NotInClass("0 vertices", ()),
-    }
-    # kind -> (routes, fallback); a route is (class, solver(g, certificate)).
-    routes, fallback = {
-        "alpha": ((("bipartite", alpha_bipartite), ("chordal", alpha_chordal)), alpha_exact),
-        "tau": (
-            (("bipartite", tau(alpha_bipartite)), ("chordal", tau(alpha_chordal))),
-            tau(alpha_exact),
-        ),
-        "omega": (tuple((name, side(pair, 0)) for name, pair in perfect), omega_exact),
-        "chi": (tuple((name, side(pair, 1)) for name, pair in perfect), chi_exact),
-        "mu": ((("bipartite", mu_bipartite),), None),
-    }[kind]
+    pairs = {"bipartite": bipartite_pair, "cograph": cograph_pair} if g.n else {}
+    # kind -> {class: solver(g, certificate)}, tried in this order.
+    routes = {"alpha": {"bipartite": alpha_bipartite, "chordal": alpha_chordal},
+              "mu": {"bipartite": mu_bipartite}, "omega": pairs, "chi": pairs}[kind]
+    fallback = {"alpha": alpha_exact, "omega": omega_exact, "chi": chi_exact}.get(kind)
     cert_of = cache(lambda name: recognisers[name](g))
     if klass != "auto" and isinstance(cert_of(klass), NotInClass):
         raise GraphFormatError(f"graph is not {klass}: {cert_of(klass).reason}")
-    for name, solve in routes:
+    for name, solve in routes.items():
         if fallback is None or klass in ("auto", name):
             if not isinstance(cert_of(name), NotInClass):
-                return solve(g, cert_of(name)), name
-    if fallback is None:
-        raise GraphFormatError(f"graph is not {routes[0][0]}: {cert_of(routes[0][0]).reason}")
+                pv = solve(g, cert_of(name))
+                # omega reads side 0 of its class's pair, chi side 1.
+                return (pv[kind == "chi"] if routes is pairs else pv), name
+    if fallback is None:  # mu, whose one route ``name`` was refused
+        raise GraphFormatError(f"graph is not {name}: {cert_of(name).reason}")
     return fallback(g), "general"

@@ -142,6 +142,9 @@ def validate_elimination_order(g: Graph, cert: EliminationOrder) -> None:
 def recognize_cograph(g: Graph) -> Union[CotreeCertificate, NotInClass]:
     from .cotree import build_cotree
 
+    if not g.n:
+        # The 0-vertex graph has no cotree, so it counts as no cograph.
+        return NotInClass("0 vertices", ())
     try:
         return CotreeCertificate(build_cotree(g))
     except NotACographError as exc:

@@ -189,6 +189,21 @@ def test_solver_supports_d3():
         checked += 1
 
 
+def test_tree_route_and_k_below_d_take_any_d():
+    """The d cap holds only for the enumeration's scan: the tree route's one
+    split and the no for k < d answer beyond it, checked against alpha_exact."""
+    rng = random.Random(71)
+    for d in range(MAX_SUPPORTED_D + 1, MAX_SUPPORTED_D + 4):
+        for _ in range(8):
+            g = random_connected_bipartite(rng, rng.randint(2 * d + 2, 2 * d + 8))
+            alpha = alpha_exact(g).value
+            out = solve_bipartite_contraction_blocker(g, rng.randint(2 * d + 1, 2 * d + 4), d)
+            assert out.answer and out.alpha_before == alpha
+            after = alpha_exact(contract_edges(g, out.witness.edges)[0]).value
+            assert after == out.witness.claimed_alpha_after <= alpha - d
+            assert solve_bipartite_contraction_blocker(g, d - 1, d) == (False, None, alpha)
+
+
 def test_solver_rejects_bad_inputs():
     from blockerlab.graph import complete_graph
 
@@ -200,8 +215,9 @@ def test_solver_rejects_bad_inputs():
         solve_bipartite_contraction_blocker(path_graph(4), 1, 0)
     with pytest.raises(ValueError):
         solve_bipartite_contraction_blocker(path_graph(4), -1, 1)
+    # d above the cap is refused only where the enumeration would scan.
     with pytest.raises(ValueError):
-        solve_bipartite_contraction_blocker(path_graph(4), 1, 4)
+        solve_bipartite_contraction_blocker(cycle_graph(10), 5, MAX_SUPPORTED_D + 1)
 
 
 def test_enumeration_scans_the_top_layer_first(monkeypatch):

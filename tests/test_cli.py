@@ -706,6 +706,24 @@ def test_blocker_with_k_below_d_answers_at_any_size(capsys, tmp_path):
     assert code == 0 and json.loads(verdict)["valid"], verdict
 
 
+def test_blocker_caps_d_only_on_the_enumeration_route(capsys, tmp_path):
+    # k = 2d+1 on a path of 200 vertices takes the tree route, which answers
+    # d = 4 and verifies; k = 5 on C_10 would scan, so d = 4 is refused.
+    path = tmp_path / "p200.graph"
+    path.write_text(format_graph(path_graph(200)))
+    code, out = _run(capsys, "blocker", "-k", "9", "-d", "4", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["value_before"] == 100 and report["value_after"] == 96
+    report_file = tmp_path / "blocker.json"
+    report_file.write_text(out)
+    code, verdict = _run(capsys, "verify", str(report_file), str(path))
+    assert code == 0 and json.loads(verdict)["valid"], verdict
+    cycle = tmp_path / "c10.graph"
+    cycle.write_text(format_graph(cycle_graph(10)))
+    assert main(["blocker", "-k", "5", "-d", "4", str(cycle)]) == 2
+    assert "d <= 3 supported, got 4" in capsys.readouterr().err
+
+
 def test_oracle_with_k_below_d_charges_no_subsets(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BLOCKERLAB_BUDGET", "1")
     path = tmp_path / "k6.graph"

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,10 @@ from blockerlab.recognizers import (
 )
 from blockerlab.report import digest_bytes, verify_report
 from helpers import labelled_graphs
+
+# The benchmark's cotree generator, so the tests and the bench draw the same trees.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import random_cotree
 
 
 def _brute_alpha(g):
@@ -246,6 +252,30 @@ def test_class_routes_agree_with_exact_solvers():
                 pv, route = certified_value(g, kind, klass)
                 assert route == klass and pv.kind == kind and pv.value == exact[kind]
                 assert validate_witness(g, pv)
+
+
+def test_class_routes_are_invariant_under_relabelling():
+    # Past the exact solvers' ceilings (alpha and omega 40 vertices, chi 20)
+    # only the class routes answer: a relabelled copy must take the same
+    # route to the same value, and every witness must validate.
+    cases = {
+        "bipartite": (random_connected_bipartite(random.Random(5), 80, 0.15),
+                      ("alpha", "mu", "tau", "omega", "chi")),
+        "chordal": (random_chordal(random.Random(100), 100), ("alpha", "tau")),
+        "cograph": (cotree.realize_cotree(random_cotree(random.Random(80), 80, 0.5)),
+                    ("omega", "chi")),
+    }
+    rng = random.Random(14)
+    for klass, (g, kinds) in cases.items():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for kind in kinds:
+            pv, route = certified_value(g, kind)
+            qv, again = certified_value(h, kind)
+            assert route == again == klass and pv.kind == qv.kind == kind
+            assert pv.value == qv.value
+            assert validate_witness(g, pv) and validate_witness(h, qv)
 
 
 def test_clique_cover_witness(paw):

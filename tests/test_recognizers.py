@@ -76,6 +76,8 @@ def test_cograph_recognizer():
     sub = [hit[i] for i in range(4)]
     assert len(set(sub)) == 4
     assert isinstance(recognize_cograph(cycle_graph(4)), CotreeCertificate)
+    # The 0-vertex graph has no cotree: no cograph, rather than an error.
+    assert isinstance(recognize_cograph(Graph(0)), NotInClass)
 
 
 def test_complete_multipartite_recognizer():
