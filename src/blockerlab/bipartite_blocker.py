@@ -8,9 +8,10 @@ The solver has two routes:
    contracts to a single vertex whose removal leaves a graph with alpha at
    most ``alpha - d - 1``;
 2. otherwise the oracle's layered search (:func:`oracle.layered_search`) over
-   sets of at most ``k`` edges.  It answers ``k < d`` no at any size, with
-   no scan and no charge, since one contraction lowers alpha by at most
-   one.  For ``d <= k <= 2d`` it is constant-degree polynomial, and refused
+   sets of at most ``k`` edges.  One contraction lowers alpha by at most
+   one, so the search splits only sets of ``d`` to ``k`` edges, and answers
+   ``k < d`` no at any size, with no scan and no charge.  For
+   ``d <= k <= 2d`` it is constant-degree polynomial, and refused
    with :class:`CapacityExceededError` when the number of subsets passes the
    configured budget, or with :class:`ValueError` when ``d`` passes
    :data:`MAX_SUPPORTED_D`; alpha of each contracted graph is computed by

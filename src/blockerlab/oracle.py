@@ -5,9 +5,10 @@ so they must be simple enough to be obviously correct and must fail loudly
 (``CapacityExceededError``) instead of degrading when an instance is too large
 for exhaustive search.  The blocker search, :func:`layered_search`, enumerates
 subsets by size and skips only layers whose outcome is already decided: no
-set of fewer than ``d`` elements lowers a parameter by ``d``, (delete-edges,
-alpha) never drops, and for a monotone pair a miss in the top layer is a no.
-Its budget counts every layer up to ``k``, and nothing when ``k < d``.  It
+set of fewer than ``d`` elements lowers a parameter by ``d``, so every scan
+starts at size ``d``; (delete-edges, alpha) never drops; and for a monotone
+pair a miss in the top layer is a no.  Its budget counts every layer up to
+``k``, and nothing when fewer than ``d`` elements can be chosen.  It
 takes the evaluator of each subset as an argument, so the bipartite blocker's
 ``k <= 2d`` enumeration is the same search with that module's split
 evaluator.
@@ -117,44 +118,46 @@ def layered_search(q: BlockerQuery, prepare: Callable[[], tuple[int, Callable]],
     ``prepare()`` returns the value before and the evaluator
     ``value_after(subset, target)``, exact when at most ``target`` and
     anything above it otherwise.  It runs after the capacity check, which
-    counts every layer up to ``k``, so no solver sees an oversized query;
-    with ``k < d`` it runs only for the value before.
+    counts every layer up to ``k`` (the layers below ``d`` too), so no
+    solver sees an oversized query; with ``min(k, |ground|) < d`` it runs
+    only for the value before.
 
     Subsets are enumerated by increasing size and lexicographically within a
     size, so the reported witness is deterministic: the lexicographically
-    least among the minimum-size ones.  The empty set changes nothing, so
-    with ``d >= 1`` the scan starts at size 1.  Three layer rules skip work
-    without changing any answer:
+    least among the minimum-size ones.  Deleting a vertex or an edge lowers
+    alpha, omega or chi by at most one, and contracting a set of ``s`` edges
+    merges at most ``s`` pairs of vertices, each merge lowering them by at
+    most one, so no set of fewer than ``d`` elements is a hit and every scan
+    starts at size ``d``.  With ``top = min(k, |ground|)``, three layer rules
+    skip more work without changing any answer:
 
-    * a query with ``k < d`` is a no without a scan, and charges no subsets
-      to the budget: deleting a vertex or an edge lowers alpha, omega or chi
-      by at most one, and contracting a set of ``s`` edges merges at most
-      ``s`` pairs of vertices, each merge lowering them by at most one;
+    * a query with ``top < d`` is a no without a scan, and charges no
+      subsets to the budget;
     * deleting edges never lowers alpha, so (delete-edges, alpha) is a no
       without a scan;
-    * for a monotone pair a hit of size ``s <= top = min(k, |ground|)``
-      extends to one of size ``top``, so the top layer is scanned first and
-      a miss there is a no.  After a hit the smaller layers are scanned in
-      order, and the top layer's first hit answers if none of them hits.
+    * for a monotone pair a hit of size ``s <= top`` extends to one of size
+      ``top``, so the top layer is scanned first and a miss there is a no.
+      After a hit the layers from ``d`` up are scanned in order, and the top
+      layer's first hit answers if none of them hits.
 
     A subset is a hit when its value is at most ``value_before - d``.
     """
-    if q.k < q.d:
-        return _answer(None, True, prepare()[0])
     ground = _ground_set(q.graph, q.operation)
     top = min(q.k, len(ground))
+    if top < q.d:
+        return _answer(None, True, prepare()[0])
     check_capacity(sum(math.comb(len(ground), i) for i in range(top + 1)), "subsets", budget)
     before, value_after = prepare()
-    target = before - q.d
     pair = (q.operation, q.parameter)
-    last = None  # the top layer's first hit, when it was scanned ahead
     if pair == ("delete-edges", "alpha"):
-        top = 0
-    elif pair in _MONOTONE and top > 1:
+        return _answer(None, True, before)
+    target = before - q.d
+    last = None  # the top layer's first hit, when it was scanned ahead
+    if pair in _MONOTONE and top > q.d:
         last = _first_hit(value_after, ground, top, target)
         if last is None:
-            top = 0
-    for size in range(1, top + (last is None)):
+            return _answer(None, True, before)
+    for size in range(q.d, top + (last is None)):
         hit = _first_hit(value_after, ground, size, target)
         if hit is not None:
             return _answer(hit, True, before)

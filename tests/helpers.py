@@ -20,6 +20,11 @@ def labelled_graphs(n: int):
         yield Graph(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
 
 
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """``g`` with each vertex ``v`` renamed ``perm[v]``."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def forest(g: Graph, s) -> bool:
     """True iff the edges ``s`` of ``g`` form no cycle: contracting an
     acyclic edge set removes one vertex per edge."""

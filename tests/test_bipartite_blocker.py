@@ -252,6 +252,29 @@ def test_enumeration_answers_k_below_d_without_a_split(monkeypatch):
     assert calls == 0
 
 
+def test_split_sees_no_set_below_size_d(monkeypatch):
+    """The enumeration starts at size d, after a top-layer hit too: on
+    seeded 10-vertex graphs no edge set the split sees is smaller than d."""
+    sizes = []
+    evaluate = bipartite_blocker.alpha_after_contraction_bipartite
+
+    def recorded(g, s, cert, target=None):
+        sizes.append(len(s))
+        return evaluate(g, s, cert, target)
+
+    monkeypatch.setattr(bipartite_blocker, "alpha_after_contraction_bipartite", recorded)
+    rng = random.Random(97)
+    yes = 0
+    for _ in range(6):
+        g = random_connected_bipartite(rng, 10, 0.3)
+        for d in range(1, MAX_SUPPORTED_D + 1):
+            for k in range(d, 2 * d + 1):
+                sizes.clear()
+                yes += solve_bipartite_contraction_blocker(g, k, d).answer
+                assert min(sizes) >= d, (g.edges(), k, d)
+    assert yes
+
+
 def _enumeration_queries(n_min, n_max):
     """(graph, k, d) for every connected bipartite catalogue graph with
     n_min <= n <= n_max and every query the k <= 2d enumeration answers."""

@@ -13,6 +13,7 @@ from blockerlab.catalogue import (
 )
 from blockerlab.graph import Graph, complete_multipartite_graph, cycle_graph, disjoint_union
 from blockerlab.isomorphism import are_isomorphic, invariant_key
+from helpers import relabel
 
 # Connected graphs by vertex count, n = 1..9: bipartite OEIS A005142,
 # chordal A048193, triangle-free A024607.  n <= 8 is pinned in tier-1 by
@@ -151,10 +152,6 @@ def test_grown_catalogue_matches_labelled_brute_force(clazz):
 # -- the canonical key ---------------------------------------------------------
 
 
-def _relabel(g, perm):
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def test_key_is_invariant_under_relabelling():
     rng = random.Random(11)
     for clazz in CATALOGUE_CLASSES:
@@ -163,7 +160,7 @@ def test_key_is_invariant_under_relabelling():
             for _ in range(20):
                 perm = list(range(g.n))
                 rng.shuffle(perm)
-                assert invariant_key(_relabel(g, perm)) == key
+                assert invariant_key(relabel(g, perm)) == key
 
 
 def _brute_isomorphism(g, h):

@@ -371,6 +371,31 @@ def test_brute_blocker_equals_naive_enumeration_at_7_and_8_vertices():
                 assert out == expected, (g.edges(), op, param, k, d)
 
 
+def test_scan_starts_at_size_d(monkeypatch):
+    """No set of fewer than d elements lowers a parameter by d, so no scan
+    evaluates one: on every connected catalogue graph with n <= 6, for all
+    nine pairs, k 0..4 and d 1..3."""
+    sizes = []
+    build = oracle._evaluator
+
+    def recorded(*args):
+        value_after = build(*args)
+
+        def record(subset, target):
+            sizes.append(len(subset))
+            return value_after(subset, target)
+
+        return record
+
+    monkeypatch.setattr(oracle, "_evaluator", recorded)
+    for g in _catalogue_graphs_to_6():
+        for op, param in itertools.product(OPERATIONS, PARAMETERS):
+            for k, d in itertools.product(range(5), range(1, 4)):
+                sizes.clear()
+                brute_blocker(BlockerQuery(g, op, param, k, d))
+                assert min(sizes, default=d) >= d, (g.edges(), op, param, k, d)
+
+
 def test_evaluator_meets_its_definition():
     """value_after(subset, target) is the parameter after the operation when
     that is at most target, and otherwise above target and at most it, for

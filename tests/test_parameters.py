@@ -46,7 +46,7 @@ from blockerlab.recognizers import (
     recognize_chordal,
 )
 from blockerlab.report import digest_bytes, verify_report
-from helpers import labelled_graphs
+from helpers import labelled_graphs, relabel
 
 # The benchmark's cotree generator, so the tests and the bench draw the same trees.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -269,7 +269,7 @@ def test_class_routes_are_invariant_under_relabelling():
     for klass, (g, kinds) in cases.items():
         perm = list(range(g.n))
         rng.shuffle(perm)
-        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        h = relabel(g, perm)
         for kind in kinds:
             pv, route = certified_value(g, kind)
             qv, again = certified_value(h, kind)
